@@ -298,8 +298,7 @@ def cmd_ensemble(args) -> int:
 
     (out / f"{name}_runs.jsonl").write_text(
         "\n".join(summary_line(r) for r in result.records) + "\n")
-    p_hat, half = stochastic.binomial_ci(
-        round(result.completed_fraction * n_paths), n_paths)
+    _, half = stochastic.binomial_ci(result.n_completed, n_paths)
     report = {
         "schema": SCHEMA_VERSION,
         "name": name,

@@ -241,17 +241,10 @@ def _seed_repr(seed):
     return seed
 
 
-def _cap_check_twist(nu: float, w: float, s: float, N: int, cap: float):
-    exponent = abs(nu * w) * gevrey.max_abs_k(N) ** s
-    if exponent > cap:
-        raise ExponentCapError(
-            f"noise exponent |nu*W|*|k|_max^s = {exponent:.3g} exceeds cap {cap:.3g}")
-
-
 def _twisted_transport(u: SpectralVelocity, nu: float, w: float, s: float,
                        cap: float) -> SpectralVelocity:
     """Conjugated transport term: damp( transport( undamped(u) ) ), projected."""
-    _cap_check_twist(nu, w, s, u.N, cap)
+    gevrey.check_exponent_cap(abs(nu * w), s, u.N, cap)
     if nu * w == 0.0 or s == 0.0:
         scale = math.exp(nu * w) if s == 0.0 else 1.0
         q = spectral.transport_bilinear(u, u)
@@ -464,6 +457,7 @@ def run_ensemble(u0: SpectralVelocity, cfg: SimConfig, n_paths: int, seed=None,
 @dataclass
 class GlobalExperimentResult:
     records: list
+    n_completed: int
     completed_fraction: float
     target: float
     std_error: float
@@ -538,6 +532,7 @@ def run_global_experiment(v0: SpectralVelocity, epsilon: float, cfg: SimConfig,
     se = math.sqrt(max(frac * (1.0 - frac), 1.0 / n_paths) / n_paths)
     return GlobalExperimentResult(
         records=records,
+        n_completed=completed,
         completed_fraction=frac,
         target=1.0 - epsilon,
         std_error=se,

@@ -17,6 +17,11 @@ Quadratic products are evaluated by zero-padded FFTs on a grid large
 enough that the retained modes of the product are alias-free, so the
 discrete transport term inherits the exact cancellation and symmetry
 identities of the continuous bilinear form.
+
+The grid transforms are real (``rfftn``/``irfftn``): they read only the
+``m3 >= 0`` half of a coefficient array and assume the field is real, i.e.
+Hermitian, which ``project_constraints`` guarantees.  The ``m3 < 0`` half of
+a product is rebuilt as the conjugate of the flipped ``m3 > 0`` half.
 """
 
 from __future__ import annotations
@@ -192,20 +197,27 @@ def _pad_positions(N: int, M: int) -> np.ndarray:
 
 
 def _to_grid(stack: np.ndarray, N: int, M: int) -> np.ndarray:
-    """Embed centered coefficients into an M^3 FFT-layout array and transform
-    to physical samples (complex; imaginary part is round-off for Hermitian
-    input)."""
+    """Real physical samples on an M^3 grid of centered coefficients.
+
+    Only the ``m3 >= 0`` half of ``stack`` is read: it is scattered into an
+    ``(..., M, M, M//2 + 1)`` half spectrum and inverted with ``irfftn``,
+    which assumes a real (Hermitian) field, as ``project_constraints``
+    guarantees.  Requires ``M >= 2N + 1``.
+    """
     p = _pad_positions(N, M)
-    full = np.zeros(stack.shape[:-3] + (M, M, M), dtype=complex)
-    full[..., p[:, None, None], p[None, :, None], p[None, None, :]] = stack
-    return np.fft.ifftn(full, axes=(-3, -2, -1)) * (M ** 3)
+    half = np.zeros(stack.shape[:-3] + (M, M, M // 2 + 1), dtype=complex)
+    half[..., p[:, None], p, : N + 1] = stack[..., N:]
+    return np.fft.irfftn(half, s=(M, M, M), axes=(-3, -2, -1), norm="forward")
 
 
 def _from_grid(phys: np.ndarray, N_out: int, M: int) -> np.ndarray:
-    """Transform physical samples back and extract modes with |m| <= N_out."""
-    full = np.fft.fftn(phys, axes=(-3, -2, -1)) / (M ** 3)
+    """Centered coefficients with |m| <= N_out of real samples: the
+    ``m3 >= 0`` half from ``rfftn``, the ``m3 < 0`` half by conjugate
+    symmetry."""
     p = _pad_positions(N_out, M)
-    return full[..., p[:, None, None], p[None, :, None], p[None, None, :]]
+    half = np.fft.rfftn(phys, axes=(-3, -2, -1), norm="forward")
+    half = half[..., p[:, None], p, : N_out + 1]
+    return np.concatenate([np.conj(half[..., ::-1, ::-1, :0:-1]), half], axis=-1)
 
 
 def dealias_pad_size(N_in: int, N_out: int) -> int:
@@ -353,9 +365,7 @@ def scalar_product(f: SpectralScalar, g: SpectralScalar, N_out: int | None = Non
     if N_out is None:
         N_out = 2 * N
     M = dealias_pad_size(N, N_out)
-    a = _to_grid(f.coeffs[None], N, M)[0]
-    b = _to_grid(g.coeffs[None], N, M)[0]
-    out = _from_grid((a * b)[None], N_out, M)[0]
+    out = _from_grid(_to_grid(f.coeffs, N, M) * _to_grid(g.coeffs, N, M), N_out, M)
     parity = "even" if f.parity == g.parity else "odd"
     return SpectralScalar(out, N_out, parity)
 
@@ -370,9 +380,9 @@ def physical_samples(field, M: int | None = None) -> np.ndarray:
     """Real-space samples on a uniform M^3 grid (x_j = j / M)."""
     if M is None:
         M = 2 * field.N + 2
-    c = field.coeffs if field.coeffs.ndim == 4 else field.coeffs[None]
-    out = _to_grid(c, field.N, M).real
-    return out if field.coeffs.ndim == 4 else out[0]
+    if M < 2 * field.N + 1:
+        raise ValueError(f"M must be at least 2N + 1 = {2 * field.N + 1}, got {M}")
+    return _to_grid(field.coeffs, field.N, M)
 
 
 def random_coefficients(N: int, seed, decay: float = 3.0, amplitude: float = 1.0) -> SpectralVelocity:

@@ -1,8 +1,9 @@
 """Structural identities of the truncated velocity representation.
 
 Oracles are independent of the implementation path: physical-grid averages
-for the vertical split, per-mode checkers for divergence conditions, and a
-hand-computed convolution for one interacting mode pair.
+for the vertical split, per-mode checkers for divergence conditions, a
+hand-computed convolution for one interacting mode pair, and a full-grid
+complex FFT reference for the real-transform grid kernel.
 """
 
 import numpy as np
@@ -243,3 +244,88 @@ class TestScalarProduct:
         assert abs(fg.coeffs[n2 + 2, n2, n2] - 1.0) < 1e-13
         assert abs(fg.coeffs[n2 - 2, n2, n2] - 1.0) < 1e-13
         assert np.abs(fg.coeffs).sum() == pytest.approx(4.0, abs=1e-12)
+
+
+def full_grid_samples(c, N, M):
+    """Reference synthesis: the whole centered spectrum, complex ifftn on M^3."""
+    p = np.arange(-N, N + 1) % M
+    full = np.zeros(c.shape[:-3] + (M, M, M), dtype=complex)
+    full[..., p[:, None, None], p[None, :, None], p[None, None, :]] = c
+    return np.fft.ifftn(full, axes=(-3, -2, -1)) * M ** 3
+
+
+def full_grid_coeffs(phys, N_out, M):
+    """Reference analysis: complex fftn on M^3, modes with |m| <= N_out."""
+    full = np.fft.fftn(phys, axes=(-3, -2, -1)) / M ** 3
+    p = np.arange(-N_out, N_out + 1) % M
+    return full[..., p[:, None, None], p[None, :, None], p[None, None, :]]
+
+
+def reference_transport(u, f):
+    """u.grad f + w d_z f from complex samples on an alias-free 3N+1 grid."""
+    N = f.N
+    M = 3 * N + 1
+    m = 2j * np.pi * np.arange(-N, N + 1)
+    grads = [f.coeffs * m[:, None, None], f.coeffs * m[None, :, None],
+             f.coeffs * m[None, None, :]]  # each (2, n, n, n)
+    adv = full_grid_samples(np.concatenate(
+        [u.coeffs, spectral.vertical_velocity(u).coeffs[None]]), N, M)
+    dg = [full_grid_samples(g, N, M) for g in grads]
+    q = sum(adv[j] * dg[j] for j in range(3))
+    return full_grid_coeffs(q, N, M)
+
+
+def rel_diff(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+class TestRealTransformOracle:
+    """The half-spectrum kernel against full-grid complex transforms.  The
+    kernel pads N=3 to M=10 (even: the Nyquist bin is present) and N=4 to
+    M=15 (odd)."""
+
+    TOL = 1e-13
+
+    @pytest.mark.parametrize("N", [3, 4])
+    def test_transport_distinct_operands(self, projected_field, N):
+        u = projected_field(N=N, seed=11)
+        f = projected_field(N=N, seed=12)
+        q = spectral.transport_bilinear(u, f).coeffs
+        assert rel_diff(q, reference_transport(u, f)) <= self.TOL
+
+    @pytest.mark.parametrize("N", [3, 4])
+    def test_self_transport(self, projected_field, N):
+        v = projected_field(N=N, seed=13)
+        q = spectral.transport_bilinear(v, v).coeffs
+        assert rel_diff(q, reference_transport(v, v)) <= self.TOL
+
+    @pytest.mark.parametrize("N", [3, 4])
+    @pytest.mark.parametrize("N_out", [None, 2])
+    def test_scalar_product(self, projected_field, N, N_out):
+        v = projected_field(N=N, seed=14)
+        f = SpectralScalar(v.coeffs[0], N)
+        w = spectral.vertical_velocity(v)  # odd parity
+        fw = spectral.scalar_product(f, w, N_out)
+        n_out = 2 * N if N_out is None else N_out
+        M = 2 * N + n_out + 1
+        expect = full_grid_coeffs(
+            full_grid_samples(f.coeffs, N, M) * full_grid_samples(w.coeffs, N, M), n_out, M)
+        assert fw.N == n_out and fw.parity == "odd"
+        assert rel_diff(fw.coeffs, expect) <= self.TOL
+
+    @pytest.mark.parametrize("N", [3, 4])
+    @pytest.mark.parametrize("extra", [0, 1, 2])
+    def test_physical_samples(self, projected_field, N, extra):
+        v = projected_field(N=N, seed=15)
+        w = spectral.vertical_velocity(v)
+        M = 2 * N + 1 + extra
+        for field in (v, w):
+            expect = full_grid_samples(field.coeffs, N, M)
+            assert np.abs(expect.imag).max() <= 1e-14 * np.abs(expect).max()
+            got = spectral.physical_samples(field, M)
+            assert got.dtype == float and got.shape == expect.shape
+            assert rel_diff(got, expect.real) <= self.TOL
+
+    def test_physical_samples_rejects_aliasing_grid(self, projected_field):
+        with pytest.raises(ValueError):
+            spectral.physical_samples(projected_field(N=3), 6)
