@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gevrey, spectral
+from . import dynamics, gevrey, spectral
 from .gevrey import GevreyParams
 from .spectral import SpectralScalar, SpectralVelocity
 
@@ -167,11 +167,7 @@ def decayed_random_velocity(N: int, decay: float, seed) -> SpectralVelocity:
 
 def decayed_random_scalar(N: int, decay: float, seed) -> SpectralScalar:
     """Zero-mean real random scalar probe with |k|^-decay coefficients."""
-    rng = np.random.default_rng(seed)
-    n = 2 * N + 1
-    c = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
-    kk = spectral.abs_k(N).copy()
-    kk[N, N, N] = 2.0 * np.pi
+    c, kk = spectral._gaussian_draw(N, seed)
     c *= (2.0 * np.pi / kk) ** decay
     c = 0.5 * (c + np.conj(c[::-1, ::-1, ::-1]))
     c[N, N, N] = 0.0
@@ -195,14 +191,6 @@ def estimate_c_sigma(sigma: float, N: int, n_samples: int, seed,
                             n_samples=n_samples)
 
 
-def _twisted_transport_term(u: SpectralVelocity, nu_w: float, s: float) -> SpectralVelocity:
-    if nu_w == 0.0:
-        return spectral.transport_bilinear(u, u)
-    v = gevrey.noise_transform(u, 1.0, nu_w, s, "inverse")
-    q = spectral.transport_bilinear(v, v)
-    return gevrey.noise_transform(q, 1.0, nu_w, s, "forward")
-
-
 def estimate_c_star(sigma: float, s: float, N: int, n_samples: int, seed,
                     phis=(0.0, 0.05), w_fractions=(0.0, 1.0)) -> ConstantEstimate:
     """Empirical constant of the twisted energy estimate.
@@ -212,6 +200,11 @@ def estimate_c_star(sigma: float, s: float, N: int, n_samples: int, seed,
     the estimate applies), maximizing
     |<exp(phi*A^s) B(u,u), exp(phi*A^s) A^(2*sigma*s) u>| over
     |u|_{sigma} * |u|_{sigma+1}^2 in homogeneous Gevrey norms at radius phi.
+
+    B is ``dynamics.twisted_transport`` with nu = 1, which is projected; the
+    slab projector is a real symmetric per-mode matrix and u is projected,
+    so the radially weighted pairing equals that of the unprojected term in
+    exact arithmetic.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
@@ -232,7 +225,7 @@ def estimate_c_star(sigma: float, s: float, N: int, n_samples: int, seed,
                 nu_w = frac * phi  # stays within the radius: nu*W <= phi
                 key = round(nu_w, 15)
                 if key not in b_cache:
-                    b_cache[key] = _twisted_transport_term(u, nu_w, s)
+                    b_cache[key] = dynamics.twisted_transport(u, 1.0, nu_w, s)
                 b = b_cache[key]
                 weight = np.exp(2.0 * phi * kk ** s) * kk ** (2.0 * sigma * s)
                 lhs = abs(float(np.sum(weight * b.coeffs * np.conj(u.coeffs)).real))
@@ -281,5 +274,5 @@ def twisted_cancellation_residual(u: SpectralVelocity, nu: float, w: float,
     l2 = gevrey.norm(u, "L2", GevreyParams(1.0, 1.0, 0.0))
     if l2 == 0.0:
         return 0.0
-    b = _twisted_transport_term(u, nu * w, s)
+    b = dynamics.twisted_transport(u, nu, w, s)
     return abs(spectral.inner_product(b, u)) / l2 ** 3

@@ -36,6 +36,7 @@ __all__ = [
     "RadiusViolationError",
     "ThresholdError",
     "radius_eval",
+    "twisted_transport",
     "step_diffusion",
     "step_damping",
     "run",
@@ -126,14 +127,17 @@ class RadiusSchedule:
         return self.base(t) + self.eta
 
     def limit(self) -> float:
-        """Long-time radius (without eta); only finite decay for 'damping'."""
+        """Long-time radius (without eta): finite for 'damping' and 'constant',
+        and for 'linear' +inf, alpha or -inf by the sign of beta."""
         if self.kind == "damping":
             depth = (4.0 * self.c_sigma / (self.nu ** 2 - 2.0 * self.beta)) \
                 * (math.exp(self.alpha) * self.v0_norm + 1.0)
             return self.phi0 - depth
         if self.kind == "constant":
             return self.alpha
-        return math.inf if self.beta > 0 else self.alpha
+        if self.beta > 0.0:
+            return math.inf
+        return -math.inf if self.beta < 0.0 else self.alpha
 
 
 def radius_eval(sched: RadiusSchedule, t: float) -> float:
@@ -241,9 +245,17 @@ def _seed_repr(seed):
     return seed
 
 
-def _twisted_transport(u: SpectralVelocity, nu: float, w: float, s: float,
-                       cap: float) -> SpectralVelocity:
-    """Conjugated transport term: damp( transport( undamped(u) ) ), projected."""
+def twisted_transport(u: SpectralVelocity, nu: float, w: float, s: float,
+                      cap: float = gevrey.EXPONENT_CAP) -> SpectralVelocity:
+    """Conjugated transport term with W frozen at ``w``: the projected
+    transport of the unconjugated field, conjugated back,
+    ``exp(-nu*w*A^s) P Q(v, v)`` with ``v = exp(nu*w*A^s) u``.
+
+    The one implementation shared by the steppers, the mild solution map and
+    the twisted-estimate probes.  For ``s = 0`` the conjugation is the scalar
+    factor ``exp(nu*w)``.  Raises ``ExponentCapError`` when ``|nu*w|`` would
+    overflow the weight at the lattice corner, in both branches.
+    """
     gevrey.check_exponent_cap(abs(nu * w), s, u.N, cap)
     if nu * w == 0.0 or s == 0.0:
         scale = math.exp(nu * w) if s == 0.0 else 1.0
@@ -255,13 +267,20 @@ def _twisted_transport(u: SpectralVelocity, nu: float, w: float, s: float,
     return gevrey.noise_transform(pq, nu, w, s, "forward", cap)
 
 
-def _ifrk4(u: SpectralVelocity, half_factor, nonlin, dt: float) -> SpectralVelocity:
-    """One integrating-factor RK4 step: exact linear half-step factor
-    ``half_factor`` (array or scalar), explicit RK4 on the remainder."""
-    eh = half_factor
+def _ifrk4_step(u: SpectralVelocity, t: float, dt: float, path: BrownianPath,
+                cfg: SimConfig, half_factor, s: float) -> SpectralVelocity:
+    """One integrating-factor RK4 step with W frozen at time t: exact linear
+    half-step factor ``half_factor`` (array or scalar), explicit RK4 on the
+    twisted transport of order ``s``, then re-projection."""
+    w = path.value_at(t)
+
+    def nonlin(x: SpectralVelocity) -> SpectralVelocity:
+        if cfg.linear_only:
+            return SpectralVelocity.zeros(u.N)
+        return -twisted_transport(x, cfg.nu, w, s, cfg.exponent_cap)
 
     def E(x: SpectralVelocity) -> SpectralVelocity:
-        return replace(x, coeffs=x.coeffs * eh)
+        return replace(x, coeffs=x.coeffs * half_factor)
 
     a = nonlin(u)
     ua = E(u + (0.5 * dt) * a)
@@ -271,7 +290,7 @@ def _ifrk4(u: SpectralVelocity, half_factor, nonlin, dt: float) -> SpectralVeloc
     uc = E(E(u)) + dt * E(c)
     d = nonlin(uc)
     out = E(E(u)) + (dt / 6.0) * (E(E(a)) + 2.0 * E(b + c) + d)
-    return out
+    return spectral.project_constraints(out)
 
 
 @lru_cache(maxsize=64)
@@ -284,28 +303,16 @@ def _diffusion_half_factor(N: int, s: float, nu: float, dt: float) -> np.ndarray
 def step_diffusion(u: SpectralVelocity, t: float, dt: float, path: BrownianPath,
                    cfg: SimConfig) -> SpectralVelocity:
     """One step of the diffusion-form equation with W frozen at time t."""
-    w = path.value_at(t)
     eh = _diffusion_half_factor(u.N, cfg.s, cfg.nu, dt)
-    if cfg.linear_only:
-        nonlin = lambda x: SpectralVelocity.zeros(u.N)
-    else:
-        nonlin = lambda x: -_twisted_transport(x, cfg.nu, w, cfg.s, cfg.exponent_cap)
-    out = _ifrk4(u, eh, nonlin, dt)
-    return spectral.project_constraints(out)
+    return _ifrk4_step(u, t, dt, path, cfg, eh, cfg.s)
 
 
 def step_damping(u: SpectralVelocity, t: float, dt: float, path: BrownianPath,
                  cfg: SimConfig) -> SpectralVelocity:
     """One step of the damping-form equation (scalar factors; also the
     nu = 0 deterministic baseline)."""
-    w = path.value_at(t)
     eh = math.exp(-0.25 * cfg.nu ** 2 * dt)
-    if cfg.linear_only:
-        nonlin = lambda x: SpectralVelocity.zeros(u.N)
-    else:
-        nonlin = lambda x: -_twisted_transport(x, cfg.nu, w, 0.0, cfg.exponent_cap)
-    out = _ifrk4(u, eh, nonlin, dt)
-    return spectral.project_constraints(out)
+    return _ifrk4_step(u, t, dt, path, cfg, eh, 0.0)
 
 
 def recover_solution(u: SpectralVelocity, w: float, cfg: SimConfig,
@@ -529,13 +536,12 @@ def run_global_experiment(v0: SpectralVelocity, epsilon: float, cfg: SimConfig,
     records = run_ensemble(v0, run_cfg, n_paths, seed=seed)
     completed = sum(1 for r in records if r.status == STATUS_COMPLETED)
     frac = completed / n_paths
-    se = math.sqrt(max(frac * (1.0 - frac), 1.0 / n_paths) / n_paths)
     return GlobalExperimentResult(
         records=records,
         n_completed=completed,
         completed_fraction=frac,
         target=1.0 - epsilon,
-        std_error=se,
+        std_error=stochastic.binomial_se(frac, n_paths),
         alpha=alpha,
         beta=beta,
         nu=nu,

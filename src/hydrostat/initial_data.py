@@ -69,11 +69,7 @@ def random_analytic(N: int, radius: float, amplitude: float = 1.0, seed=0,
                     poly: float = 1.0) -> SpectralVelocity:
     """Random coefficients with exponential decay exp(-radius*|k|) times a
     polynomial factor; genuinely analytic-looking data for PDE runs."""
-    rng = np.random.default_rng(seed)
-    n = 2 * N + 1
-    c = rng.standard_normal((2, n, n, n)) + 1j * rng.standard_normal((2, n, n, n))
-    kk = spectral.abs_k(N).copy()
-    kk[N, N, N] = 2.0 * np.pi
+    c, kk = spectral._gaussian_draw(N, seed, (2,))
     c *= amplitude * np.exp(-radius * kk) * (2.0 * np.pi / kk) ** poly
     return spectral.project_constraints(SpectralVelocity(c, N))
 

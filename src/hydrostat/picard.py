@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gevrey, spectral
+from . import dynamics, gevrey, spectral
 from .dynamics import SimConfig
 from .gevrey import GevreyParams
 from .spectral import SpectralVelocity
@@ -84,16 +84,6 @@ class MildProblem:
         return self.cfg.radius.value(t)
 
 
-def _integrand(u: SpectralVelocity, nu: float, w: float, s: float, cap: float):
-    """Projected twisted transport term entering the mild integral."""
-    if nu * w == 0.0:
-        return spectral.hydrostatic_leray(spectral.transport_bilinear(u, u))
-    v = gevrey.noise_transform(u, nu, w, s, "inverse", cap)
-    q = spectral.transport_bilinear(v, v)
-    b = gevrey.noise_transform(q, nu, w, s, "forward", cap)
-    return spectral.hydrostatic_leray(b)
-
-
 def _heat_factors(cfg: SimConfig, N: int, h: float, n: int) -> list:
     """Per-mode heat factors exp(-0.5*nu^2*(d*h)*|k|^(2s)) for d = 0..n-1."""
     kk2s = spectral.abs_k(N) ** (2.0 * cfg.s)
@@ -125,7 +115,8 @@ def duhamel_map(trajectory: list, prob: MildProblem, path: BrownianPath) -> list
             continue
         w = path.value_at(float(t))
         integrand.append(
-            _integrand(trajectory[j], cfg.nu, w, cfg.s, cfg.exponent_cap).coeffs)
+            dynamics.twisted_transport(trajectory[j], cfg.nu, w, cfg.s,
+                                       cfg.exponent_cap).coeffs)
 
     out = []
     zero_idx = (slice(None), N, N, N)

@@ -40,7 +40,6 @@ __all__ = [
     "abs_k",
     "project_constraints",
     "split_barotropic",
-    "leray_horizontal",
     "hydrostatic_leray",
     "vertical_velocity",
     "transport_bilinear",
@@ -178,6 +177,15 @@ def _slab_projector(N: int):
     return p11, p12, p22
 
 
+def _leray_slab(c: np.ndarray, N: int) -> None:
+    """Horizontal Leray projection of the m3 = 0 slab of ``c``, in place."""
+    p11, p12, p22 = _slab_projector(N)
+    u = c[0, :, :, N].copy()
+    v = c[1, :, :, N].copy()
+    c[0, :, :, N] = p11 * u + p12 * v
+    c[1, :, :, N] = p12 * u + p22 * v
+
+
 def _fast_len(n: int) -> int:
     """Smallest 5-smooth integer >= n (friendly FFT sizes)."""
     m = n
@@ -241,11 +249,7 @@ def project_constraints(f: SpectralVelocity) -> SpectralVelocity:
     N = f.N
     c[:, N, N, N] = 0.0
     # divergence-free vertical average on the m3 = 0 slab
-    p11, p12, p22 = _slab_projector(N)
-    u = c[0, :, :, N].copy()
-    v = c[1, :, :, N].copy()
-    c[0, :, :, N] = p11 * u + p12 * v
-    c[1, :, :, N] = p12 * u + p22 * v
+    _leray_slab(c, N)
     return replace(f, coeffs=c)
 
 
@@ -257,33 +261,14 @@ def split_barotropic(f: SpectralVelocity):
     return replace(f, coeffs=bar), replace(f, coeffs=f.coeffs - bar)
 
 
-def leray_horizontal(g: SpectralVelocity) -> SpectralVelocity:
-    """2D Leray projection of a field supported on the m3 = 0 slab."""
-    N = g.N
-    if np.any(np.delete(g.coeffs, N, axis=3)):
-        raise ValueError("leray_horizontal expects a field supported on m3 = 0")
-    c = g.coeffs.copy()
-    p11, p12, p22 = _slab_projector(N)
-    u = c[0, :, :, N].copy()
-    v = c[1, :, :, N].copy()
-    c[0, :, :, N] = p11 * u + p12 * v
-    c[1, :, :, N] = p12 * u + p22 * v
-    return replace(g, coeffs=c)
-
-
 def hydrostatic_leray(f: SpectralVelocity) -> SpectralVelocity:
     """Leray projection of the vertical average plus the untouched remainder.
 
     Acts mode-by-mode with spectral matrices of norm <= 1, hence contracts
     every coefficient-weighted norm.
     """
-    N = f.N
     c = f.coeffs.copy()
-    p11, p12, p22 = _slab_projector(N)
-    u = c[0, :, :, N].copy()
-    v = c[1, :, :, N].copy()
-    c[0, :, :, N] = p11 * u + p12 * v
-    c[1, :, :, N] = p12 * u + p22 * v
+    _leray_slab(c, f.N)
     return replace(f, coeffs=c)
 
 
@@ -385,12 +370,20 @@ def physical_samples(field, M: int | None = None) -> np.ndarray:
     return _to_grid(field.coeffs, field.N, M)
 
 
-def random_coefficients(N: int, seed, decay: float = 3.0, amplitude: float = 1.0) -> SpectralVelocity:
-    """Unprojected random velocity coefficients with power-law decay |k|^-decay."""
+def _gaussian_draw(N: int, seed, lead: tuple = ()):
+    """Seeded complex Gaussian coefficients of shape ``lead + (n, n, n)``
+    (real parts drawn first) and |k| with the zero mode set to 2*pi, so
+    that ``2*pi/|k|`` spectral shapes stay finite."""
     rng = np.random.default_rng(seed)
-    n = 2 * N + 1
-    c = rng.standard_normal((2, n, n, n)) + 1j * rng.standard_normal((2, n, n, n))
+    shape = lead + (2 * N + 1,) * 3
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     kk = abs_k(N).copy()
     kk[N, N, N] = 2.0 * np.pi
+    return c, kk
+
+
+def random_coefficients(N: int, seed, decay: float = 3.0, amplitude: float = 1.0) -> SpectralVelocity:
+    """Unprojected random velocity coefficients with power-law decay |k|^-decay."""
+    c, kk = _gaussian_draw(N, seed, (2,))
     c *= amplitude * (2.0 * np.pi / kk) ** decay
     return SpectralVelocity(c, N)

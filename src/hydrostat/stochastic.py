@@ -176,11 +176,16 @@ class GoodSetEstimate:
         }
 
 
+def binomial_se(p_hat: float, n: int) -> float:
+    """Standard error sqrt(p_hat*(1 - p_hat)/n) of a frequency over n trials,
+    with the variance floored at 1/n so that p_hat = 0 or 1 keeps a width."""
+    return math.sqrt(max(p_hat * (1.0 - p_hat), 1.0 / n) / n)
+
+
 def binomial_ci(successes: int, n: int, z: float = 1.96):
     """Normal-approximation binomial confidence interval (p_hat, half-width)."""
     p_hat = successes / n
-    half = z * math.sqrt(max(p_hat * (1.0 - p_hat), 1.0 / n) / n)
-    return p_hat, half
+    return p_hat, z * binomial_se(p_hat, n)
 
 
 def good_set_probability(p: GoodSetParams, T: float, dt: float, n_paths: int,
@@ -203,12 +208,11 @@ def good_set_probability(p: GoodSetParams, T: float, dt: float, n_paths: int,
         if not np.any(w > barrier):
             survived += 1
     p_hat, half = binomial_ci(survived, n_paths)
-    se = math.sqrt(max(p_hat * (1.0 - p_hat), 1.0 / n_paths) / n_paths)
     return GoodSetEstimate(
         estimate=p_hat,
         ci_low=p_hat - half,
         ci_high=p_hat + half,
-        std_error=se,
+        std_error=binomial_se(p_hat, n_paths),
         paper_bound=survival_paper_bound(p),
         exact_value=survival_exact(p),
         n_paths=n_paths,

@@ -136,6 +136,11 @@ class TestEstimators:
         b = an.estimate_c_star(1.9, 1.0, N=6, n_samples=10, seed=4)
         assert a == b
 
+    def test_c_star_cli_estimate_value(self):
+        # the value `c_star = estimate` resolves to in the CLI
+        est = an.estimate_c_star(1.9, 1.0, N=8, n_samples=64, seed=2026)
+        assert est.value == pytest.approx(5.7518363639843796e-05, rel=1e-12)
+
     def test_truncation_stability(self, c_sigma_est):
         small = an.estimate_c_sigma(2.6, N=6, n_samples=50, seed=2026)
         assert 0.25 < c_sigma_est.value / small.value < 4.0

@@ -49,6 +49,13 @@ class TestRadiusSchedule:
         assert dy.radius_eval(sched, 1e9) == pytest.approx(expect)
         assert sched.limit() == pytest.approx(expect)
 
+    def test_linear_limit_by_sign_of_beta(self):
+        assert RadiusSchedule.linear(1.0, 0.5).limit() == math.inf
+        assert RadiusSchedule.linear(1.0, 0.0).limit() == 1.0
+        decreasing = RadiusSchedule.linear(1.0, -0.5)
+        assert decreasing.value(10.0) == pytest.approx(-4.0)
+        assert decreasing.limit() == -math.inf
+
     def test_monotone_decreasing(self):
         sched = RadiusSchedule.damping(1.0, 0.5, 1.0, 2.5, 0.3, 0.2)
         ts = np.linspace(0, 5, 50)
@@ -164,6 +171,13 @@ class TestSteppers:
         check_invariants(u)
 
 
+class TestTwistedTransport:
+    @pytest.mark.parametrize("w, s", [(0.1, 1.0), (0.7, 0.0)])
+    def test_output_slab_divergence_free(self, projected_field, w, s):
+        # the unprojected transport of this field has O(1) slab divergence
+        check_invariants(dy.twisted_transport(projected_field(N=6, seed=7), 2.0, w, s))
+
+
 class TestRecoverSolution:
     def test_zero_noise_identity(self, projected_field):
         u = projected_field(seed=1)
@@ -228,6 +242,20 @@ class TestRun:
         margin = 2.0 * values - (0.5 + 0.05 * times)
         expect_t = times[np.nonzero(margin > 0)[0][0]]
         assert rec.t_final == pytest.approx(expect_t)
+
+    def test_damping_exits_at_exponent_cap(self):
+        # the scalar (s = 0) twisted transport checks the cap up front:
+        # nu*W = 3*W first exceeds the cap 5 at W(0.02) = 2
+        N, dt = 4, 0.01
+        times = dt * np.arange(11)
+        path = BrownianPath(times=times, values=np.linspace(0.0, 10.0, 11),
+                            seed=None, dt=dt)
+        cfg = SimConfig(noise="damping", nu=3.0, s=0.0, sigma=2.6,
+                        radius=RadiusSchedule.constant(0.01), n_modes=N,
+                        dt=dt, horizon=0.1, exponent_cap=5.0)
+        rec = dy.run(small_two_mode(N, amplitude=1e-6), cfg, path)
+        assert rec.status == "goodset_exit"
+        assert rec.t_final == 0.02
 
     def test_blowup_status(self):
         N = 6
