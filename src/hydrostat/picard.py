@@ -120,13 +120,13 @@ def duhamel_map(trajectory: list, prob: MildProblem, path: BrownianPath) -> list
 
     out = []
     zero_idx = (slice(None), N, N, N)
+    # running[i] = sum_{j<i} heat[i-j] * integrand[j], by heat[a+b] = heat[a]*heat[b]
+    running = zeros
     for i in range(n):
         acc = heat[i] * prob.u0.coeffs
         if i > 0:
-            total = 0.5 * heat[i] * integrand[0]
-            for j in range(1, i):
-                total = total + heat[i - j] * integrand[j]
-            total = total + 0.5 * integrand[i]
+            running = heat[1] * (running + integrand[i - 1])
+            total = running - 0.5 * heat[i] * integrand[0] + 0.5 * integrand[i]
             acc = acc - h * total
         acc[zero_idx] = 0.0
         out.append(SpectralVelocity(acc, N))

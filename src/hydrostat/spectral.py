@@ -18,10 +18,11 @@ enough that the retained modes of the product are alias-free, so the
 discrete transport term inherits the exact cancellation and symmetry
 identities of the continuous bilinear form.
 
-The grid transforms are real (``rfftn``/``irfftn``): they read only the
-``m3 >= 0`` half of a coefficient array and assume the field is real, i.e.
-Hermitian, which ``project_constraints`` guarantees.  The ``m3 < 0`` half of
-a product is rebuilt as the conjugate of the flipped ``m3 > 0`` half.
+The grid transforms are real and pruned: they read only the ``m3 >= 0``
+half of a coefficient array and assume the field is real, i.e. Hermitian,
+which ``project_constraints`` guarantees, and they run one axis at a time
+over the 1-D lines that carry retained modes.  The ``m3 < 0`` half of a
+product is rebuilt as the conjugate of the flipped ``m3 > 0`` half.
 """
 
 from __future__ import annotations
@@ -199,32 +200,56 @@ def _fast_len(n: int) -> int:
         m += 1
 
 
-@lru_cache(maxsize=32)
-def _pad_positions(N: int, M: int) -> np.ndarray:
-    return np.arange(-N, N + 1) % M
+def _pad(c: np.ndarray, N: int, M: int, axis: int) -> np.ndarray:
+    """Zero-padded FFT-order copy of centered modes ``-N..N`` along ``axis``
+    (negative): ``m >= 0`` to the first ``N + 1`` slots, ``m < 0`` to the
+    last ``N``."""
+    shape = list(c.shape)
+    shape[axis] = M
+    out = np.zeros(shape, dtype=complex)
+    tail = (slice(None),) * (-1 - axis)
+    out[(..., slice(0, N + 1)) + tail] = c[(..., slice(N, 2 * N + 1)) + tail]
+    out[(..., slice(M - N, M)) + tail] = c[(..., slice(0, N)) + tail]
+    return out
+
+
+def _crop(c: np.ndarray, N: int, axis: int) -> np.ndarray:
+    """Centered modes ``-N..N`` of an FFT-order spectrum along ``axis``
+    (negative); the inverse of ``_pad``."""
+    M = c.shape[axis]
+    tail = (slice(None),) * (-1 - axis)
+    return np.concatenate([c[(..., slice(M - N, M)) + tail],
+                           c[(..., slice(0, N + 1)) + tail]], axis=axis)
 
 
 def _to_grid(stack: np.ndarray, N: int, M: int) -> np.ndarray:
     """Real physical samples on an M^3 grid of centered coefficients.
 
-    Only the ``m3 >= 0`` half of ``stack`` is read: it is scattered into an
-    ``(..., M, M, M//2 + 1)`` half spectrum and inverted with ``irfftn``,
-    which assumes a real (Hermitian) field, as ``project_constraints``
-    guarantees.  Requires ``M >= 2N + 1``.
+    Only the ``m3 >= 0`` half of ``stack`` is read; the field is assumed
+    real (Hermitian), as ``project_constraints`` guarantees.  The inverse is
+    pruned to the lines that carry retained modes: ``ifft`` along axis -3
+    over the ``(2N+1) x (N+1)`` retained columns, ``ifft`` along axis -2 over
+    ``M x (N+1)``, then ``irfft`` along axis -1.  That is ``irfftn``'s own
+    axis order, so the samples are bitwise those of ``irfftn`` on the
+    zero-padded half spectrum.  Requires ``M >= 2N + 1``.
     """
-    p = _pad_positions(N, M)
-    half = np.zeros(stack.shape[:-3] + (M, M, M // 2 + 1), dtype=complex)
-    half[..., p[:, None], p, : N + 1] = stack[..., N:]
-    return np.fft.irfftn(half, s=(M, M, M), axes=(-3, -2, -1), norm="forward")
+    half = np.fft.ifft(_pad(stack[..., N:], N, M, -3), axis=-3, norm="forward")
+    half = np.fft.ifft(_pad(half, N, M, -2), axis=-2, norm="forward")
+    return np.fft.irfft(half, n=M, axis=-1, norm="forward")
 
 
 def _from_grid(phys: np.ndarray, N_out: int, M: int) -> np.ndarray:
-    """Centered coefficients with |m| <= N_out of real samples: the
-    ``m3 >= 0`` half from ``rfftn``, the ``m3 < 0`` half by conjugate
-    symmetry."""
-    p = _pad_positions(N_out, M)
-    half = np.fft.rfftn(phys, axes=(-3, -2, -1), norm="forward")
-    half = half[..., p[:, None], p, : N_out + 1]
+    """Centered coefficients with |m| <= N_out of real samples.
+
+    ``rfftn``'s axis order, pruned to the retained lines: ``rfft`` along
+    axis -1 keeping ``m3 = 0..N_out``, ``fft`` along axis -2, the retained
+    rows, ``fft`` along axis -3; bitwise the gather of ``rfftn``.  The
+    ``m3 < 0`` half follows by conjugate symmetry.  Requires
+    ``M >= 2 N_out + 1``.
+    """
+    half = np.fft.rfft(phys, axis=-1, norm="forward")[..., : N_out + 1]
+    half = _crop(np.fft.fft(half, axis=-2, norm="forward"), N_out, -2)
+    half = _crop(np.fft.fft(half, axis=-3, norm="forward"), N_out, -3)
     return np.concatenate([np.conj(half[..., ::-1, ::-1, :0:-1]), half], axis=-1)
 
 
@@ -311,34 +336,35 @@ def vertical_velocity(f: SpectralVelocity) -> SpectralScalar:
 
 def transport_bilinear(u_adv: SpectralVelocity, f: SpectralVelocity) -> SpectralVelocity:
     """Bilinear transport term: horizontal advection plus vertical transport
-    by the induced vertical velocity.
+    by the induced vertical velocity, ``u.grad' f + w d_z f``.
 
-    The product is evaluated on a zero-padded grid so the retained modes are
-    the exact convolution; the result is *not* re-projected.
+    Evaluated in flux form, ``d_j(u_j f) + d_z(w f)``.  Precondition: the
+    advector is divergence-free in 3D, ``grad'.u + d_z w = 0``, which holds
+    mode by mode because ``vertical_velocity`` builds ``w`` from it and
+    rejects an advector whose vertical average is not divergence-free.  The
+    two forms differ by ``f (grad'.u + d_z w)``: round-off for a projected
+    advector, up to ``INCOMPRESSIBILITY_RTOL`` relative for one that
+    ``vertical_velocity`` admits unprojected.
+    Only ``u_adv``, ``w`` and (when ``f is not u_adv``) ``f`` go to the
+    grid; the 5 distinct products (6 for ``f is not u_adv``) come back and
+    are differentiated on the retained modes.  The products are evaluated on
+    a zero-padded grid so the retained modes are the exact convolution; the
+    result is *not* re-projected.
     """
     _check_same_truncation(u_adv, f)
     N = f.N
-    ik1, ik2, ik3 = _derivative_multipliers(N)
-
+    ik = _derivative_multipliers(N)
     w = vertical_velocity(u_adv).coeffs
-    stack = np.stack(
-        [
-            u_adv.coeffs[0],
-            u_adv.coeffs[1],
-            w,
-            ik1 * f.coeffs[0],
-            ik2 * f.coeffs[0],
-            ik3 * f.coeffs[0],
-            ik1 * f.coeffs[1],
-            ik2 * f.coeffs[1],
-            ik3 * f.coeffs[1],
-        ]
-    )
     M = dealias_pad_size(N, N)
-    g = _to_grid(stack, N, M)
-    q1 = g[0] * g[3] + g[1] * g[4] + g[2] * g[5]
-    q2 = g[0] * g[6] + g[1] * g[7] + g[2] * g[8]
-    out = _from_grid(np.stack([q1, q2]), N, M)
+    if f is u_adv:
+        u1, u2, uz = _to_grid(np.concatenate([u_adv.coeffs, w[None]]), N, M)
+        p = _from_grid(np.stack([u1 * u1, u1 * u2, u2 * u2, u1 * uz, u2 * uz]), N, M)
+        fluxes = ((p[0], p[1], p[3]), (p[1], p[2], p[4]))
+    else:
+        u1, u2, uz, f1, f2 = _to_grid(np.concatenate([u_adv.coeffs, w[None], f.coeffs]), N, M)
+        p = _from_grid(np.stack([u1 * f1, u2 * f1, uz * f1, u1 * f2, u2 * f2, uz * f2]), N, M)
+        fluxes = (p[:3], p[3:])
+    out = np.stack([ik[0] * a + ik[1] * b + ik[2] * c for a, b, c in fluxes])
     return SpectralVelocity(out, N)
 
 

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from hydrostat import bench_cli
+from hydrostat import bench_cli, dynamics
 
 
 def run_cli(args, env_extra=None):
@@ -264,6 +264,47 @@ dir = {outdir}
                 (tmp_path / "ens_runs.jsonl").read_text().strip().splitlines()]
         got = [r["goodset"] for r in runs]
         assert got == expected
+
+    # The diffusion half of the criterion-08 pair as the `ensemble` benchmark
+    # runs it: N=4 at radius alpha + eta = 3.05, so phi*|k|_max ~ 133 and
+    # exp(phi*|k|) lifts FFT round-off in the top modes far above the
+    # resolved norm of 0.5.
+    ROUNDOFF_CONFIG = """
+[experiment]
+name = diffusion
+
+[sim]
+noise = diffusion
+nu = 0.1
+s = 1.0
+sigma = 1.9
+N = 4
+dt = 0.01
+T = 0.4
+radius_kind = linear
+alpha = 2.772588722239781
+beta = 0.0025000000000000005
+eta = 0.2772588722239781
+
+[initial_data]
+family = single_mode
+mode = 1 0 1
+normalize_target = 0.5
+normalize_sigma = 1.9
+normalize_phi = 3.0498475944637593
+"""
+
+    def test_roundoff_floor_stays_below_blowup_threshold(self, tmp_path, c_star_est):
+        # the tracked norm's round-off floor must stay >= 10x below the
+        # blowup threshold, or round-off alone would decide run statuses
+        parser = bench_cli.load_config(write_config(tmp_path, self.ROUNDOFF_CONFIG))
+        cfg, u0 = bench_cli.build_sim(parser, seed_override=7)
+        result = dynamics.run_global_experiment(u0, 0.5, cfg, 8, seed=cfg.seed,
+                                                c_star=c_star_est.value)
+        for r in result.records:
+            threshold = cfg.blowup_factor * r.gevrey_norm_u[0]
+            assert r.status == dynamics.STATUS_COMPLETED, r.name
+            assert 10.0 * r.max_gevrey_norm <= threshold, (r.name, r.max_gevrey_norm)
 
 
 class TestGoodsetCommand:

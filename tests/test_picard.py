@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hydrostat import dynamics as dy
-from hydrostat import gevrey, initial_data, picard, spectral
+from hydrostat import gevrey, initial_data, picard, spectral, stochastic
 from hydrostat.dynamics import RadiusSchedule, SimConfig
 from hydrostat.gevrey import GevreyParams
 from hydrostat.picard import MildProblem, PicardDivergenceError
@@ -87,6 +87,34 @@ class TestDuhamelMap:
             expect_out = -q_coeff * integral
             assert out[i].coeffs[1, N + 2, N, N] == pytest.approx(expect_out, rel=1e-12)
             assert abs(out[i].coeffs[0, N + 2, N, N]) <= 1e-14
+
+    def test_matches_explicit_double_loop_trapezoid(self):
+        # the running-sum quadrature against the trapezoid written out per
+        # node, with heat factors exp(-nu^2/2 (t_i - t_j) |k|^2s) built
+        # directly, on a time-varying trajectory under a Brownian W
+        N, n_nodes, horizon = 6, 17, 0.05
+        a, b = small_data(N=N, seed=4), small_data(N=N, seed=5)
+        cfg = make_cfg(N=N)
+        prob = MildProblem(u0=a, cfg=cfg, horizon=horizon, n_nodes=n_nodes)
+        path = stochastic.sample_path(horizon, 1e-3, seed=21)
+        traj = [(1.0 + 3.0 * t) * a + math.sin(40.0 * t) * b for t in prob.times]
+        got = picard.duhamel_map(traj, prob, path)
+
+        times = prob.times
+        h = times[1] - times[0]
+        kk2s = spectral.abs_k(N) ** (2.0 * cfg.s)
+        integrand = [dy.twisted_transport(u, cfg.nu, path.value_at(float(t)), cfg.s,
+                                          cfg.exponent_cap).coeffs
+                     for t, u in zip(times, traj)]
+        for i in range(n_nodes):
+            expect = np.exp(-0.5 * cfg.nu ** 2 * (i * h) * kk2s) * a.coeffs
+            for j in range(i + 1):
+                wgt = 0.0 if i == 0 else 0.5 if j in (0, i) else 1.0
+                heat = np.exp(-0.5 * cfg.nu ** 2 * ((i - j) * h) * kk2s)
+                expect = expect - h * wgt * heat * integrand[j]
+            expect[:, N, N, N] = 0.0
+            err = np.abs(got[i].coeffs - expect).max()
+            assert err <= 1e-13 * np.abs(expect).max(), (i, err)
 
     def test_zero_mean_output(self):
         u0 = small_data()

@@ -2,8 +2,9 @@
 
 Oracles are independent of the implementation path: physical-grid averages
 for the vertical split, per-mode checkers for divergence conditions, a
-hand-computed convolution for one interacting mode pair, and a full-grid
-complex FFT reference for the real-transform grid kernel.
+hand-computed convolution for one interacting mode pair, a full-grid
+complex FFT reference for the real-transform grid kernel and the advective
+transport, and full ``irfftn``/``rfftn`` references for the pruned passes.
 """
 
 import numpy as np
@@ -256,6 +257,24 @@ def full_grid_coeffs(phys, N_out, M):
     return full[..., p[:, None, None], p[None, :, None], p[None, None, :]]
 
 
+def half_spectrum_samples(c, N, M):
+    """Reference synthesis on the real path: the ``m3 >= 0`` half scattered
+    by fancy index into the full ``M x M x (M//2+1)`` box, then ``irfftn``."""
+    p = np.arange(-N, N + 1) % M
+    half = np.zeros(c.shape[:-3] + (M, M, M // 2 + 1), dtype=complex)
+    half[..., p[:, None], p, : N + 1] = c[..., N:]
+    return np.fft.irfftn(half, s=(M, M, M), axes=(-3, -2, -1), norm="forward")
+
+
+def half_spectrum_coeffs(phys, N_out, M):
+    """Reference analysis on the real path: full ``rfftn``, fancy-index
+    gather of ``m3 >= 0``, conjugate symmetry for ``m3 < 0``."""
+    p = np.arange(-N_out, N_out + 1) % M
+    half = np.fft.rfftn(phys, axes=(-3, -2, -1), norm="forward")
+    half = half[..., p[:, None], p, : N_out + 1]
+    return np.concatenate([np.conj(half[..., ::-1, ::-1, :0:-1]), half], axis=-1)
+
+
 def reference_transport(u, f):
     """u.grad f + w d_z f from complex samples on an alias-free 3N+1 grid."""
     N = f.N
@@ -275,9 +294,9 @@ def rel_diff(a, b):
 
 
 class TestRealTransformOracle:
-    """The half-spectrum kernel against full-grid complex transforms.  The
-    kernel pads N=3 to M=10 (even: the Nyquist bin is present) and N=4 to
-    M=15 (odd)."""
+    """The kernel against full-grid complex transforms and the advective
+    form ``u.grad' f + w d_z f``.  The kernel pads N=3 to M=10 (even: the
+    Nyquist bin is present) and N=4 to M=15 (odd)."""
 
     TOL = 1e-13
 
@@ -324,3 +343,60 @@ class TestRealTransformOracle:
     def test_physical_samples_rejects_aliasing_grid(self, projected_field):
         with pytest.raises(ValueError):
             spectral.physical_samples(projected_field(N=3), 6)
+
+
+class TestPrunedTransforms:
+    """The pruned one-axis passes against full ``irfftn``/``rfftn`` with a
+    fancy-index scatter and gather: the same 1-D lines in the same axis
+    order, so the results are bitwise equal."""
+
+    @pytest.mark.parametrize("N", [3, 4])
+    def test_grid_round_trip(self, projected_field, N):
+        v = projected_field(N=N, seed=16)
+        stack = np.concatenate([v.coeffs, spectral.vertical_velocity(v).coeffs[None]])
+        M = spectral.dealias_pad_size(N, N)
+        assert M == {3: 10, 4: 15}[N]
+        g = spectral._to_grid(stack, N, M)
+        np.testing.assert_array_equal(g, half_spectrum_samples(stack, N, M))
+        prods = np.stack([g[0] * g[1], g[1] * g[2]])
+        np.testing.assert_array_equal(spectral._from_grid(prods, N, M),
+                                      half_spectrum_coeffs(prods, N, M))
+
+    @pytest.mark.parametrize("N", [3, 4])
+    def test_scalar_product(self, projected_field, N):
+        v = projected_field(N=N, seed=17)
+        f = SpectralScalar(v.coeffs[1], N)
+        w = spectral.vertical_velocity(v)
+        M = spectral.dealias_pad_size(N, 2 * N)
+        expect = half_spectrum_coeffs(
+            half_spectrum_samples(f.coeffs, N, M) * half_spectrum_samples(w.coeffs, N, M),
+            2 * N, M)
+        np.testing.assert_array_equal(spectral.scalar_product(f, w).coeffs, expect)
+
+    @pytest.mark.parametrize("N", [3, 4])
+    @pytest.mark.parametrize("extra", [0, 1, 2])
+    def test_physical_samples(self, projected_field, N, extra):
+        v = projected_field(N=N, seed=18)
+        M = 2 * N + 1 + extra
+        for field in (v, spectral.vertical_velocity(v)):
+            np.testing.assert_array_equal(spectral.physical_samples(field, M),
+                                          half_spectrum_samples(field.coeffs, N, M))
+
+    @pytest.mark.parametrize("N", [3, 4])
+    def test_both_transport_branches_make_six_fft_calls(self, projected_field,
+                                                        monkeypatch, N):
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn"):
+            monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+        u, f = projected_field(N=N, seed=19), projected_field(N=N, seed=20)
+        spectral.transport_bilinear(u, u)
+        self_calls = len(calls)
+        spectral.transport_bilinear(u, f)
+        assert self_calls == len(calls) - self_calls == 6
