@@ -7,7 +7,9 @@ Subcommands: ``simulate`` (single runs, one per configured seed),
 Config files use a flat ``key = value`` grammar with ``[section]`` headers
 and ``#`` comments.  Outputs are a fixed-column CSV time series per run and
 JSON-lines summaries; identical config and seed reproduce byte-identical
-files.  ``HYDROSTAT_THREADS`` caps ensemble parallelism.
+files.  Ensemble members run one after another in path-index order.  A bad
+config or argument (including a non-positive or non-finite horizon or step)
+exits with code 2 and a ``config error:`` message.
 """
 
 from __future__ import annotations

@@ -17,8 +17,6 @@ verifiable property.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -35,7 +33,6 @@ __all__ = [
     "RunRecord",
     "RadiusViolationError",
     "ThresholdError",
-    "radius_eval",
     "twisted_transport",
     "step_diffusion",
     "step_damping",
@@ -140,13 +137,6 @@ class RadiusSchedule:
         return -math.inf if self.beta < 0.0 else self.alpha
 
 
-def radius_eval(sched: RadiusSchedule, t: float) -> float:
-    """Closed-form radius evaluation (base schedule plus eta offset)."""
-    if t < 0.0:
-        raise ValueError("t must be non-negative")
-    return sched.value(t)
-
-
 NOISE_KINDS = ("diffusion", "damping", "none")
 
 
@@ -171,8 +161,9 @@ class SimConfig:
     def __post_init__(self):
         if self.noise not in NOISE_KINDS:
             raise ValueError(f"noise must be one of {NOISE_KINDS}, got {self.noise!r}")
-        if self.n_modes < 1 or self.dt <= 0.0 or self.horizon <= 0.0:
-            raise ValueError("n_modes, dt, horizon must be positive")
+        if self.n_modes < 1 or not (0.0 < self.dt < math.inf and 0.0 < self.horizon < math.inf):
+            raise ValueError("n_modes must be positive and dt, horizon positive and "
+                             f"finite, got dt={self.dt}, horizon={self.horizon}")
         if self.blowup_factor <= 1.0:
             raise ValueError("blowup_factor must exceed 1")
         if self.noise == "diffusion":
@@ -436,16 +427,10 @@ def run(u0: SpectralVelocity, cfg: SimConfig, path: BrownianPath | None = None,
     )
 
 
-def _worker_count() -> int:
-    env = os.environ.get("HYDROSTAT_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(os.cpu_count() or 1, 8)
-
-
 def run_ensemble(u0: SpectralVelocity, cfg: SimConfig, n_paths: int, seed=None,
                  name: str = "") -> list[RunRecord]:
-    """Independent runs over substream-seeded paths, in path-index order."""
+    """Independent runs over substream-seeded paths, in path-index order:
+    member ``i`` runs on ``sample_path(T, dt, path_seed(seed, i))``."""
     base_seed = cfg.seed if seed is None else seed
 
     def one(i: int) -> RunRecord:
@@ -454,11 +439,7 @@ def run_ensemble(u0: SpectralVelocity, cfg: SimConfig, n_paths: int, seed=None,
                 else stochastic.sample_path(cfg.horizon, cfg.dt, sub))
         return run(u0, cfg, path, name=f"{name}[{i}]" if name else f"path{i}")
 
-    workers = _worker_count()
-    if workers == 1:
-        return [one(i) for i in range(n_paths)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, range(n_paths)))
+    return [one(i) for i in range(n_paths)]
 
 
 @dataclass

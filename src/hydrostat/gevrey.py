@@ -1,6 +1,5 @@
-"""Fourier multiplier calculus: fractional derivative powers, exponential
-weights, the noise conjugation multiplier, and the weighted norms used for
-radius tracking.
+"""Fourier multiplier calculus: exponential weights, the noise conjugation
+multiplier, and the weighted norms used for radius tracking.
 
 All operations are coefficient-wise and pure.  Exponentially weighted sums
 span many orders of magnitude, so norms accumulate the squared terms sorted
@@ -21,7 +20,6 @@ __all__ = [
     "ExponentCapError",
     "EXPONENT_CAP",
     "check_exponent_cap",
-    "frac_laplacian",
     "exp_multiplier",
     "noise_transform",
     "norm",
@@ -68,23 +66,10 @@ def check_exponent_cap(phi: float, s: float, N: int, cap: float = EXPONENT_CAP) 
         )
 
 
-def _mult(field, factor: np.ndarray):
-    return replace(field, coeffs=field.coeffs * factor)
-
-
-def frac_laplacian(field, s: float):
-    """Multiply each coefficient by |k|^s (the zero mode is unaffected)."""
-    if s < 0.0:
-        raise ValueError(f"s must be non-negative, got {s}")
-    if s == 0.0:
-        return replace(field, coeffs=field.coeffs.copy())
-    return _mult(field, abs_k(field.N) ** s)
-
-
 def exp_multiplier(field, phi: float, s: float, cap: float = EXPONENT_CAP):
     """Multiply each coefficient by exp(phi * |k|^s); phi may be negative."""
     check_exponent_cap(phi, s, field.N, cap)
-    return _mult(field, np.exp(phi * abs_k(field.N) ** s))
+    return replace(field, coeffs=field.coeffs * np.exp(phi * abs_k(field.N) ** s))
 
 
 def noise_transform(field, nu: float, w: float, s: float, direction: str = "forward",
@@ -121,26 +106,21 @@ def _ordered_sum(terms: np.ndarray, N: int) -> float:
 def norm(field, kind: str, params: GevreyParams, cap: float = EXPONENT_CAP) -> float:
     """Weighted coefficient norm of a field.
 
-    Kinds: 'L2', 'Hs' / 'Hs_dot' (Sobolev with exponent sigma*s), and
-    'Gevrey' / 'Gevrey_dot' with weight exp(2*phi*|k|^s) |k|^(2*sigma*s).
+    Kinds: 'L2', and 'Gevrey' / 'Gevrey_dot' with weight
+    exp(2*phi*|k|^s) |k|^(2*sigma*s); at phi = 0 these are the Sobolev
+    norms with exponent sigma*s (inhomogeneous / homogeneous).
     """
     N = field.N
     a = np.abs(field.coeffs)
     if kind == "L2":
         return float(np.sqrt(_ordered_sum(a * a, N)))
+    if kind not in ("Gevrey", "Gevrey_dot"):
+        raise ValueError(f"unknown norm kind {kind!r}")
+    check_exponent_cap(params.phi, params.s, N, cap)
     kk = abs_k(N)
     r = params.sigma * params.s
-    if kind in ("Hs", "Hs_dot"):
-        hom = (kk ** r) * a
-        total = _ordered_sum(hom * hom, N)
-        if kind == "Hs":
-            total += _ordered_sum(a * a, N)
-        return float(np.sqrt(total))
-    if kind in ("Gevrey", "Gevrey_dot"):
-        check_exponent_cap(params.phi, params.s, N, cap)
-        weighted = np.exp(params.phi * kk ** params.s) * (kk ** r) * a
-        total = _ordered_sum(weighted * weighted, N)
-        if kind == "Gevrey":
-            total += _ordered_sum(a * a, N)
-        return float(np.sqrt(total))
-    raise ValueError(f"unknown norm kind {kind!r}")
+    weighted = np.exp(params.phi * kk ** params.s) * (kk ** r) * a
+    total = _ordered_sum(weighted * weighted, N)
+    if kind == "Gevrey":
+        total += _ordered_sum(a * a, N)
+    return float(np.sqrt(total))

@@ -144,9 +144,6 @@ class PicardResult:
     ball_radius: float = math.inf
     stayed_in_ball: bool = True
 
-    def sup_gevrey_diff(self, other: list, prob: MildProblem) -> float:
-        return _sup_diff(self.trajectory, other, prob)
-
 
 def _sup_diff(a: list, b: list, prob: MildProblem) -> float:
     cfg = prob.cfg

@@ -40,7 +40,6 @@ __all__ = [
     "lattice",
     "abs_k",
     "project_constraints",
-    "split_barotropic",
     "hydrostatic_leray",
     "vertical_velocity",
     "transport_bilinear",
@@ -278,14 +277,6 @@ def project_constraints(f: SpectralVelocity) -> SpectralVelocity:
     return replace(f, coeffs=c)
 
 
-def split_barotropic(f: SpectralVelocity):
-    """Vertical average (modes with m3 = 0) and its complement."""
-    N = f.N
-    bar = np.zeros_like(f.coeffs)
-    bar[:, :, :, N] = f.coeffs[:, :, :, N]
-    return replace(f, coeffs=bar), replace(f, coeffs=f.coeffs - bar)
-
-
 def hydrostatic_leray(f: SpectralVelocity) -> SpectralVelocity:
     """Leray projection of the vertical average plus the untouched remainder.
 
@@ -297,16 +288,18 @@ def hydrostatic_leray(f: SpectralVelocity) -> SpectralVelocity:
     return replace(f, coeffs=c)
 
 
-def _incompressibility_residual(f: SpectralVelocity):
-    N = f.N
-    m1, m2, _ = lattice(N)
+@lru_cache(maxsize=32)
+def _vertical_divisors(N: int):
+    """Slab magnitudes ``|m'|`` at ``m3 = 0`` and the integer ``m3`` divisor
+    with 1 on that slab, read-only."""
+    m1, m2, m3 = lattice(N)
     m1, m2 = m1[:, :, N], m2[:, :, N]
-    u, v = f.coeffs[0, :, :, N], f.coeffs[1, :, :, N]
-    div = m1 * u + m2 * v
-    resid = np.sqrt(np.sum(np.abs(div) ** 2))
     mag = np.sqrt((m1 * m1 + m2 * m2).astype(float))
-    scale = np.sqrt(np.sum((mag * np.abs(u)) ** 2 + (mag * np.abs(v)) ** 2))
-    return resid, scale
+    m3safe = m3.copy()
+    m3safe[:, :, N] = 1
+    for a in (mag, m3safe):
+        a.setflags(write=False)
+    return mag, m3safe
 
 
 def vertical_velocity(f: SpectralVelocity) -> SpectralScalar:
@@ -317,19 +310,21 @@ def vertical_velocity(f: SpectralVelocity) -> SpectralScalar:
     input to vanish (up to INCOMPRESSIBILITY_RTOL), otherwise the
     antiderivative is not periodic.
     """
-    resid, scale = _incompressibility_residual(f)
+    N = f.N
+    m1, m2, _ = lattice(N)
+    mag, m3safe = _vertical_divisors(N)
+    s = m1 * f.coeffs[0] + m2 * f.coeffs[1]  # (m' . u_hat), divergence / (2*pi*i)
+    resid = np.sqrt(np.sum(np.abs(s[:, :, N]) ** 2))
+    u, v = f.coeffs[0, :, :, N], f.coeffs[1, :, :, N]
+    scale = np.sqrt(np.sum((mag * np.abs(u)) ** 2 + (mag * np.abs(v)) ** 2))
     if resid > INCOMPRESSIBILITY_RTOL * max(scale, 1e-300):
         raise ProjectionRequiredError(
             "vertical average is not divergence-free "
             f"(residual {resid:.3e} vs scale {scale:.3e}); project first"
         )
-    N = f.N
-    m1, m2, m3 = lattice(N)
-    s = m1 * f.coeffs[0] + m2 * f.coeffs[1]  # (m' . u_hat), divergence / (2*pi*i)
-    w = np.zeros_like(s)
-    nz = m3 != 0
-    w[nz] = -s[nz] / m3[nz]
-    # zero vertical mode fixed by w(., z=0) = 0
+    # integer divisor: the quotient is that of -s[nz] / m3[nz], bit for bit
+    w = -s / m3safe
+    # zero vertical mode fixed by w(., z=0) = 0; the slab's own entries are dropped
     w[:, :, N] = -np.sum(np.delete(w, N, axis=2), axis=2)
     return SpectralScalar(w, N, parity="odd")
 

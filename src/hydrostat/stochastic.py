@@ -1,6 +1,5 @@
-"""Seeded Brownian path sampling, the drifted-barrier survival set, hitting
-times, and Monte Carlo probability estimation with a reflection-principle
-oracle.
+"""Seeded Brownian path sampling, the drifted-barrier survival set, and
+Monte Carlo probability estimation with a reflection-principle oracle.
 
 Determinism contract: every quantity here is a pure function of the seed and
 the parameters.  Ensemble members draw from independent substreams keyed by
@@ -23,9 +22,7 @@ __all__ = [
     "path_seed",
     "sample_path",
     "good_set_indicator",
-    "hitting_time",
     "good_set_probability",
-    "max_exp_noise",
     "survival_paper_bound",
     "survival_exact",
 ]
@@ -81,6 +78,10 @@ def path_seed(seed, index: int) -> np.random.SeedSequence:
 
 
 def _time_grid(T: float, dt: float) -> np.ndarray:
+    """Grid {0, dt, 2dt, ..., T}; the last interval may be shorter than dt."""
+    if not (0.0 < T < math.inf and 0.0 < dt < math.inf):
+        raise ValueError(
+            f"horizon and step must be positive and finite, got T={T}, dt={dt}")
     n_full = int(math.floor(T / dt + 1e-9))
     times = dt * np.arange(n_full + 1)
     if times[-1] < T - 1e-12 * max(T, 1.0):
@@ -92,8 +93,6 @@ def _time_grid(T: float, dt: float) -> np.ndarray:
 
 def sample_path(T: float, dt: float, seed) -> BrownianPath:
     """Sample W on the grid {0, dt, 2dt, ..., T} with exact N(0, h) increments."""
-    if T <= 0.0 or dt <= 0.0:
-        raise ValueError(f"horizon and step must be positive, got T={T}, dt={dt}")
     rng = np.random.default_rng(seed)
     times = _time_grid(T, dt)
     incr = rng.standard_normal(len(times) - 1) * np.sqrt(np.diff(times))
@@ -114,22 +113,6 @@ def good_set_indicator(path: BrownianPath, p: GoodSetParams):
     if bad.size == 0:
         return True, None
     return False, float(path.times[bad[0]])
-
-
-def hitting_time(path: BrownianPath, radius, nu: float):
-    """First grid time with nu*W(t) > phi(t), or None within the horizon.
-
-    ``radius`` is anything with a ``value(t)`` method (a radius schedule) or
-    a plain callable t -> phi(t).
-    """
-    phi = radius.value if hasattr(radius, "value") else radius
-    phis = np.asarray([phi(t) for t in path.times])
-    if phis[0] <= 0.0:
-        raise ValueError("radius must be positive at t = 0")
-    bad = np.nonzero(nu * path.values > phis)[0]
-    if bad.size == 0:
-        return None
-    return float(path.times[bad[0]])
 
 
 def survival_paper_bound(p: GoodSetParams) -> float:
@@ -221,14 +204,3 @@ def good_set_probability(p: GoodSetParams, T: float, dt: float, n_paths: int,
         dt=dt,
         seed=seed,
     )
-
-
-def max_exp_noise(path: BrownianPath, nu: float, T: float | None = None) -> float:
-    """Maximum of exp(nu*W(t)) over grid times up to T (damping-case sup of
-    the inverse noise multiplier)."""
-    if T is None:
-        T = path.horizon
-    if path.horizon < T - 1e-12:
-        raise ValueError(f"path horizon {path.horizon} shorter than T={T}")
-    mask = path.times <= T + 1e-12
-    return float(np.exp(nu * np.max(path.values[mask])))

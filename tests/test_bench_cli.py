@@ -182,6 +182,17 @@ dir = {outdir}
         res = run_cli(["simulate"])
         assert res.returncode == bench_cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("key,value", [("dt", "nan"), ("dt", "inf"),
+                                           ("T", "nan"), ("T", "inf")])
+    def test_non_finite_step_or_horizon_is_config_error(self, tmp_path, key, value):
+        text = BASE_CONFIG.format(name="bad", family="two_mode",
+                                  amplitude="0.01", outdir=tmp_path)
+        old = {"dt": "dt = 2e-3", "T": "T = 0.02"}[key]
+        cfg = write_config(tmp_path, text.replace(old, f"{key} = {value}"))
+        res = run_cli(["simulate", "--config", cfg, "--quiet"])
+        assert res.returncode == bench_cli.EXIT_CONFIG, res.stderr
+        assert "config error" in res.stderr and "finite" in res.stderr
+
 
 class TestEnsemble:
     ENSEMBLE_CONFIG = """
@@ -235,13 +246,6 @@ dir = {outdir}
         assert res.returncode == 0, res.stderr
         runs = (tmp_path / "ens_runs.jsonl").read_text().strip().splitlines()
         assert len(runs) == 2
-
-    def test_threads_env_respected(self, tmp_path):
-        cfg = write_config(tmp_path, self.ENSEMBLE_CONFIG.format(
-            c_sigma="0.001", paths=3, outdir=tmp_path))
-        res = run_cli(["ensemble", "--config", cfg, "--quiet"],
-                      env_extra={"HYDROSTAT_THREADS": "2"})
-        assert res.returncode == 0, res.stderr
 
     def test_goodset_fraction_matches_stochastic_module(self, tmp_path):
         # ignoring the PDE outcome, the per-run goodset flags reproduce the
@@ -334,6 +338,16 @@ class TestGoodsetCommand:
     def test_invalid_params(self):
         res = run_cli(["goodset", "--alpha", "-1", "--beta", "1", "--nu", "1"])
         assert res.returncode == bench_cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("flags", [["--dt", "0"], ["--dt", "-0.01"],
+                                       ["--T", "-1"], ["--T", "inf"], ["--T", "0"]],
+                             ids=["dt0", "dt-neg", "T-neg", "T-inf", "T0"])
+    def test_bad_horizon_or_step_is_config_error(self, flags):
+        res = run_cli(["goodset", "--alpha", "1", "--beta", "1", "--nu", "1",
+                       "--paths", "100", *flags])
+        assert res.returncode == bench_cli.EXIT_CONFIG, res.stderr
+        assert res.stderr.startswith("config error: goodset:"), res.stderr
+        assert "Traceback" not in res.stderr and res.stdout == ""
 
 
 class TestVerify:

@@ -35,18 +35,18 @@ def damping_cfg(N=8, nu=3.0, dt=1e-3, T=0.05, phi=0.5, **kw):
 
 class TestRadiusSchedule:
     def test_linear_example(self):
-        assert dy.radius_eval(RadiusSchedule.linear(1.0, 2.0), 3.0) == pytest.approx(7.0)
+        assert RadiusSchedule.linear(1.0, 2.0).value(3.0) == pytest.approx(7.0)
 
     def test_damping_initial_value(self):
         sched = RadiusSchedule.damping(phi0=0.8, alpha=1.0, beta=1.0, nu=3.0,
                                        c_sigma=0.5, v0_norm=0.1)
-        assert dy.radius_eval(sched, 0.0) == pytest.approx(0.8)
+        assert sched.value(0.0) == pytest.approx(0.8)
 
     def test_damping_long_time_limit(self):
         phi0, alpha, beta, nu, c_sig, v0n = 0.8, 1.0, 1.0, 3.0, 0.5, 0.1
         sched = RadiusSchedule.damping(phi0, alpha, beta, nu, c_sig, v0n)
         expect = phi0 - (4 * c_sig / (nu ** 2 - 2 * beta)) * (math.exp(alpha) * v0n + 1)
-        assert dy.radius_eval(sched, 1e9) == pytest.approx(expect)
+        assert sched.value(1e9) == pytest.approx(expect)
         assert sched.limit() == pytest.approx(expect)
 
     def test_linear_limit_by_sign_of_beta(self):
@@ -66,10 +66,6 @@ class TestRadiusSchedule:
         sched = RadiusSchedule.linear(1.0, 2.0, eta=0.25)
         assert sched.value(0.0) == pytest.approx(1.25)
         assert sched.base(0.0) == pytest.approx(1.0)
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            dy.radius_eval(RadiusSchedule.linear(1.0, 1.0), -0.5)
 
 
 class TestSimConfigValidation:
@@ -105,6 +101,14 @@ class TestSimConfigValidation:
             SimConfig(noise="none", nu=0.5, s=0.0, sigma=2.6,
                       radius=RadiusSchedule.constant(1.0), n_modes=4,
                       dt=1e-3, horizon=1.0)
+
+    @pytest.mark.parametrize("dt,horizon", [(math.nan, 1.0), (math.inf, 1.0),
+                                            (1e-3, math.nan), (1e-3, math.inf)])
+    def test_non_finite_step_or_horizon(self, dt, horizon):
+        with pytest.raises(ValueError, match="finite"):
+            SimConfig(noise="none", nu=0.0, s=0.0, sigma=2.6,
+                      radius=RadiusSchedule.constant(1.0), n_modes=4,
+                      dt=dt, horizon=horizon)
 
 
 class TestSteppers:
@@ -342,6 +346,25 @@ class TestEnsembleAndGlobal:
         recs2 = dy.run_ensemble(u0, cfg, 4)
         for a, b in zip(recs1, recs2):
             np.testing.assert_array_equal(a.gevrey_norm_u, b.gevrey_norm_u)
+
+    @pytest.mark.parametrize("noise", ["diffusion", "damping"])
+    def test_member_layout_contract(self, noise):
+        # member i is run() on the path of substream (seed, i), bitwise,
+        # and a smaller ensemble is a prefix of a larger one
+        N, seed = 4, 9
+        cfg = (diffusion_cfg(N=N, T=0.02, dt=2e-3) if noise == "diffusion"
+               else damping_cfg(N=N, nu=1.0, T=0.02, dt=2e-3))
+        u0 = small_two_mode(N, amplitude=1e-3)
+        four = dy.run_ensemble(u0, cfg, 4, seed)
+        two = dy.run_ensemble(u0, cfg, 2, seed)
+        alone = [dy.run(u0, cfg, stochastic.sample_path(
+            cfg.horizon, cfg.dt, stochastic.path_seed(seed, i))) for i in range(4)]
+        assert not np.array_equal(four[0].w_values, four[1].w_values)
+        for a, b in zip(four + two, alone + alone[:2]):
+            for field in ("times", "w_values", "phi", "gevrey_norm_u",
+                          "l2_norm_u", "gevrey_norm_v"):
+                np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+            assert {**a.summary(), "name": ""} == b.summary()
 
     def test_global_experiment_threshold_error(self):
         N = 4

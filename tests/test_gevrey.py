@@ -18,29 +18,6 @@ def single_mode_pair(N=4, m=(1, 0, 0), value=1.0):
     return u
 
 
-class TestFracLaplacian:
-    def test_s_zero_identity(self, projected_field):
-        f = projected_field(seed=1)
-        out = gevrey.frac_laplacian(f, 0.0)
-        np.testing.assert_array_equal(out.coeffs, f.coeffs)
-
-    def test_single_mode_scaling(self):
-        u = single_mode_pair()
-        out = gevrey.frac_laplacian(u, 1.0)
-        assert out.coeffs[0, 4 + 1, 4, 4] == pytest.approx(2 * np.pi)
-
-    def test_matches_per_mode_reference(self, projected_field):
-        f = projected_field(seed=2)
-        s = 0.9
-        out = gevrey.frac_laplacian(f, s)
-        kk = spectral.abs_k(f.N)
-        np.testing.assert_allclose(out.coeffs, f.coeffs * kk ** s, rtol=1e-15)
-
-    def test_negative_s_rejected(self, projected_field):
-        with pytest.raises(ValueError):
-            gevrey.frac_laplacian(projected_field(), -0.5)
-
-
 class TestExpMultiplier:
     def test_phi_zero_identity(self, projected_field):
         f = projected_field(seed=3)
@@ -95,7 +72,7 @@ class TestNorms:
     def test_zero_field_all_kinds(self):
         z = SpectralVelocity.zeros(4)
         p = GevreyParams(1.5, 1.0, 0.3)
-        for kind in ("L2", "Hs", "Hs_dot", "Gevrey", "Gevrey_dot"):
+        for kind in ("L2", "Gevrey", "Gevrey_dot"):
             assert gevrey.norm(z, kind, p) == 0.0
 
     def test_inhomogeneous_dominated(self, projected_field):
@@ -128,7 +105,7 @@ class TestNorms:
         f = projected_field(seed=10)
         g = projected_field(seed=11)
         p = GevreyParams(1.9, 1.0, 0.1)
-        for kind in ("L2", "Hs", "Hs_dot", "Gevrey", "Gevrey_dot"):
+        for kind in ("L2", "Gevrey", "Gevrey_dot"):
             nf, ng = gevrey.norm(f, kind, p), gevrey.norm(g, kind, p)
             nsum = gevrey.norm(f + g, kind, p)
             assert nsum <= (nf + ng) * (1 + 1e-13)

@@ -1,10 +1,11 @@
 """Structural identities of the truncated velocity representation.
 
 Oracles are independent of the implementation path: physical-grid averages
-for the vertical split, per-mode checkers for divergence conditions, a
-hand-computed convolution for one interacting mode pair, a full-grid
-complex FFT reference for the real-transform grid kernel and the advective
-transport, and full ``irfftn``/``rfftn`` references for the pruned passes.
+for the vertical split of the ``m3 = 0`` slab, per-mode checkers for
+divergence conditions, a hand-computed convolution for one interacting mode
+pair, a full-grid complex FFT reference for the real-transform grid kernel
+and the advective transport, full ``irfftn``/``rfftn`` references for the
+pruned passes, and the boolean-mask vertical velocity for its bitwise form.
 """
 
 import numpy as np
@@ -55,22 +56,29 @@ class TestProjectConstraints:
         assert np.abs(p2.coeffs - p1.coeffs).max() <= 1e-14 * scale
 
 
+def split_barotropic(f):
+    """Vertical average (the m3 = 0 slab, ``coeffs[..., N]``) and the rest."""
+    bar = np.zeros_like(f.coeffs)
+    bar[..., f.N] = f.coeffs[..., f.N]
+    return SpectralVelocity(bar, f.N), SpectralVelocity(f.coeffs - bar, f.N)
+
+
 class TestSplitBarotropic:
     def test_z_independent_field(self):
         f = cos_cos_mode(4, 0, (0, 1), 0)
-        bar, bcl = spectral.split_barotropic(f)
+        bar, bcl = split_barotropic(f)
         np.testing.assert_array_equal(bar.coeffs, f.coeffs)
         assert np.abs(bcl.coeffs).max() == 0.0
 
     def test_pure_baroclinic(self):
         f = cos_cos_mode(4, 0, (1, 0), 2)
-        bar, bcl = spectral.split_barotropic(f)
+        bar, bcl = split_barotropic(f)
         assert np.abs(bar.coeffs).max() == 0.0
         np.testing.assert_array_equal(bcl.coeffs, f.coeffs)
 
     def test_parts_sum_and_match_grid_average(self, projected_field):
         f = projected_field(seed=5)
-        bar, bcl = spectral.split_barotropic(f)
+        bar, bcl = split_barotropic(f)
         np.testing.assert_allclose(bar.coeffs + bcl.coeffs, f.coeffs, atol=0)
         # physical-space oracle: average the sampled field over the z axis
         M = 2 * f.N + 4
@@ -174,6 +182,20 @@ class TestVerticalVelocity:
         v.coeffs[0, N - 1, N, N] = 1.0
         with pytest.raises(ProjectionRequiredError):
             spectral.vertical_velocity(v)
+
+    @pytest.mark.parametrize("N", [2, 3, 4, 8])
+    def test_bitwise_masked_reference(self, N):
+        # reference: boolean-mask division by m3, then the slab as minus the
+        # sum of the other modes; equal bytes, signed zeros included
+        m1, m2, m3 = spectral.lattice(N)
+        for seed in range(3):
+            v = spectral.project_constraints(spectral.random_coefficients(N, seed))
+            s = m1 * v.coeffs[0] + m2 * v.coeffs[1]
+            ref = np.zeros_like(s)
+            nz = m3 != 0
+            ref[nz] = -s[nz] / m3[nz]
+            ref[:, :, N] = -np.sum(np.delete(ref, N, axis=2), axis=2)
+            assert spectral.vertical_velocity(v).coeffs.tobytes() == ref.tobytes()
 
 
 class TestTransportBilinear:

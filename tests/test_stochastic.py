@@ -29,6 +29,15 @@ class TestSamplePath:
         with pytest.raises(ValueError):
             st.sample_path(1.0, 0.0, 0)
 
+    @pytest.mark.parametrize("T,dt", [(math.inf, 0.1), (math.nan, 0.1),
+                                      (1.0, math.inf), (1.0, math.nan), (0.0, 0.1)])
+    def test_non_finite_or_empty_grid_rejected(self, T, dt):
+        # one grid check serves path sampling and the Monte Carlo estimate
+        with pytest.raises(ValueError, match="positive and finite"):
+            st.sample_path(T, dt, 0)
+        with pytest.raises(ValueError, match="positive and finite"):
+            st.good_set_probability(GoodSetParams(1, 1, 1), T, dt, 100)
+
     def test_terminal_moments(self):
         # CLT bounds at T = 1 over 10^4 substreams
         n = 10_000
@@ -53,6 +62,13 @@ def flat_path(values, dt=1.0):
     return BrownianPath(times=times, values=values, seed=None, dt=dt)
 
 
+def hitting_time(path, sched, nu):
+    """First grid time with nu*W(t) > phi(t), or None within the horizon."""
+    phis = np.asarray([sched.value(t) for t in path.times])
+    bad = np.nonzero(nu * path.values > phis)[0]
+    return float(path.times[bad[0]]) if bad.size else None
+
+
 class TestGoodSetIndicator:
     def test_zero_path_survives(self):
         p = flat_path(np.zeros(11))
@@ -71,7 +87,7 @@ class TestGoodSetIndicator:
         for i in range(50):
             p = st.sample_path(2.0, 0.01, st.path_seed(77, i))
             ok, t_bad = st.good_set_indicator(p, params)
-            t_hit = st.hitting_time(p, sched, params.nu)
+            t_hit = hitting_time(p, sched, params.nu)
             assert ok == (t_hit is None)
             if not ok:
                 assert t_hit == pytest.approx(t_bad)
@@ -80,21 +96,12 @@ class TestGoodSetIndicator:
 class TestHittingTime:
     def test_zero_path_never_hits(self):
         p = flat_path(np.zeros(11))
-        assert st.hitting_time(p, RadiusSchedule.constant(0.5), 1.0) is None
+        assert hitting_time(p, RadiusSchedule.constant(0.5), 1.0) is None
 
     def test_constant_radius_hit(self):
         p = flat_path([0.0, 0.3, 0.9, 0.2])
-        t = st.hitting_time(p, RadiusSchedule.constant(0.5), 1.0)
+        t = hitting_time(p, RadiusSchedule.constant(0.5), 1.0)
         assert t == pytest.approx(2.0)
-
-    def test_callable_radius(self):
-        p = flat_path([0.0, 2.0])
-        assert st.hitting_time(p, lambda t: 1.0 + t, 1.0) is None
-
-    def test_nonpositive_initial_radius_rejected(self):
-        p = flat_path([0.0, 0.1])
-        with pytest.raises(ValueError):
-            st.hitting_time(p, lambda t: 0.0, 1.0)
 
 
 class TestGoodSetProbability:
@@ -130,22 +137,3 @@ class TestGoodSetProbability:
         b = st.good_set_probability(params, 2.0, 0.01, 300, seed=9)
         assert a.estimate == b.estimate
 
-
-class TestMaxExpNoise:
-    def test_zero_path(self):
-        p = flat_path(np.zeros(5))
-        assert st.max_exp_noise(p, 2.0) == 1.0
-
-    def test_monotone_path(self):
-        p = flat_path([0.0, 0.5, 1.0, 1.5])
-        assert st.max_exp_noise(p, 2.0) == pytest.approx(math.exp(3.0))
-
-    def test_equals_exp_of_max(self):
-        p = st.sample_path(1.0, 0.01, seed=8)
-        assert st.max_exp_noise(p, 1.7) == pytest.approx(
-            math.exp(1.7 * p.values.max()))
-
-    def test_horizon_check(self):
-        p = st.sample_path(1.0, 0.1, seed=8)
-        with pytest.raises(ValueError):
-            st.max_exp_noise(p, 1.0, T=2.0)
