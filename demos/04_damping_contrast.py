@@ -38,15 +38,15 @@ nu = math.sqrt(1.1 * (8.0 * c_sigma / phi0) * (eps ** -4 * v0n + 1.0))
 beta = nu ** 2 / 4.0
 sched = RadiusSchedule.damping(phi0, alpha, beta, nu, c_sigma, v0n)
 cfg1 = SimConfig(noise="damping", nu=nu, s=0.0, sigma=sigma, radius=sched,
-                 n_modes=N, dt=2.5e-3, horizon=T, blowup_factor=1e6,
-                 goodset=GoodSetParams(alpha, beta, nu))
+                 n_modes=N, dt=2.5e-3, horizon=T, blowup_factor=1e6)
+goodset = GoodSetParams(alpha, beta, nu)
 print(f"damping intensity nu = {nu:.1f} (threshold scale), "
       f"radius floor {sched.limit():.4f}")
 
 damped = None
 for i in range(50):
     path = stochastic.sample_path(T, cfg1.dt, stochastic.path_seed(5, i))
-    if stochastic.good_set_indicator(path, cfg1.goodset)[0]:
+    if stochastic.good_set_indicator(path, goodset)[0]:
         damped = dynamics.run(v0, cfg1, path)
         break
 print(f"damped run (first good-set path): {damped.status}, "

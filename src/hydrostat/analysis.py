@@ -36,6 +36,11 @@ __all__ = [
     "decayed_random_velocity",
 ]
 
+# Radii phi at which the estimators sample their ratios, and the frozen noise
+# exponents nu*W = fraction * phi that estimate_c_star scans at each radius.
+PHIS = (0.0, 0.05)
+W_FRACTIONS = (0.0, 1.0)
+
 
 @dataclass(frozen=True)
 class ExponentPair:
@@ -174,8 +179,7 @@ def decayed_random_scalar(N: int, decay: float, seed) -> SpectralScalar:
     return SpectralScalar(c, N)
 
 
-def estimate_c_sigma(sigma: float, N: int, n_samples: int, seed,
-                     phis=(0.0, 0.05)) -> ConstantEstimate:
+def estimate_c_sigma(sigma: float, N: int, n_samples: int, seed) -> ConstantEstimate:
     """Empirical constant of the transport estimate over seeded samples."""
     if n_samples < 1:
         raise ValueError("need at least one sample")
@@ -184,15 +188,15 @@ def estimate_c_sigma(sigma: float, N: int, n_samples: int, seed,
     for i in range(n_samples):
         u = decayed_random_velocity(N, decay, np.random.SeedSequence(entropy=seed,
                                                                      spawn_key=(i,)))
-        ratios.append(max(nonlinear_estimate_ratio(u, sigma, phi) for phi in phis))
+        ratios.append(max(nonlinear_estimate_ratio(u, sigma, phi) for phi in PHIS))
     arr = np.sort(np.asarray(ratios))
     return ConstantEstimate(value=float(arr[-1]),
                             p95=float(np.quantile(arr, 0.95)),
                             n_samples=n_samples)
 
 
-def estimate_c_star(sigma: float, s: float, N: int, n_samples: int, seed,
-                    phis=(0.0, 0.05), w_fractions=(0.0, 1.0)) -> ConstantEstimate:
+def estimate_c_star(sigma: float, s: float, N: int, n_samples: int,
+                    seed) -> ConstantEstimate:
     """Empirical constant of the twisted energy estimate.
 
     Scans seeded samples and a grid of frozen noise exponents nu*W =
@@ -215,13 +219,13 @@ def estimate_c_star(sigma: float, s: float, N: int, n_samples: int, seed,
         u = decayed_random_velocity(N, decay, np.random.SeedSequence(entropy=seed,
                                                                      spawn_key=(i,)))
         n_sig = {phi: gevrey.norm(u, "Gevrey_dot", GevreyParams(sigma, s, phi))
-                 for phi in phis}
+                 for phi in PHIS}
         n_one = {phi: gevrey.norm(u, "Gevrey_dot", GevreyParams(sigma + 1.0, s, phi))
-                 for phi in phis}
+                 for phi in PHIS}
         b_cache: dict = {}
         best = 0.0
-        for phi in phis:
-            for frac in w_fractions:
+        for phi in PHIS:
+            for frac in W_FRACTIONS:
                 nu_w = frac * phi  # stays within the radius: nu*W <= phi
                 key = round(nu_w, 15)
                 if key not in b_cache:

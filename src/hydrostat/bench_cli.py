@@ -121,17 +121,13 @@ def _build_radius(sec: _Section, nu: float, v0_norm: float,
     raise ConfigError(f"sim.radius_kind: unknown kind {kind!r}")
 
 
-def _resolve_c_sigma(sec: _Section, sigma: float) -> float | None:
-    text = sec.get_str("c_sigma", None)
-    if text is None:
-        return None
-    if text.strip() == "estimate":
-        est = analysis.estimate_c_sigma(sigma, N=8, n_samples=64, seed=2026)
-        return est.value
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise ConfigError(f"sim.c_sigma: {exc}") from exc
+def _number_or_estimate(sec: _Section, key: str, estimate) -> float | None:
+    """``key`` as a number, or ``estimate().value`` when it reads ``estimate``;
+    None when the key is absent."""
+    text = sec.get_str(key, None)
+    if text is not None and text.strip() == "estimate":
+        return estimate().value
+    return sec.get_float(key, None)
 
 
 def _build_initial_data(parser: configparser.ConfigParser, N: int):
@@ -173,21 +169,21 @@ def _make_initial_data(sec: _Section, family: str, N: int):
 
 
 def build_sim(parser: configparser.ConfigParser, seed_override=None):
-    """SimConfig plus initial data from a parsed config."""
+    """SimConfig, initial data and the resolved ``sim.c_sigma`` (None when
+    unset) from a parsed config.  ``c_sigma = estimate`` runs the estimator
+    here, once."""
     sec = _Section(parser, "sim")
     noise = sec.get_str("noise", required=True)
     nu = sec.get_float("nu", required=True)
     sigma = sec.get_float("sigma", required=True)
     N = sec.get_int("N", required=True)
     u0 = _build_initial_data(parser, N)
-    c_sigma = _resolve_c_sigma(sec, sigma)
+    c_sigma = _number_or_estimate(sec, "c_sigma", lambda: analysis.estimate_c_sigma(
+        sigma, N=8, n_samples=64, seed=2026))
     try:
         v0_norm = gevrey.norm(u0, "Gevrey",
                               GevreyParams(sigma, 1.0, sec.get_float("phi0", 0.0)))
         radius = _build_radius(sec, nu, v0_norm, c_sigma)
-        goodset = None
-        if noise == "diffusion" and radius.kind == "linear":
-            goodset = GoodSetParams(alpha=radius.alpha, beta=radius.beta, nu=nu)
         cfg = SimConfig(
             noise=noise,
             nu=nu,
@@ -197,16 +193,17 @@ def build_sim(parser: configparser.ConfigParser, seed_override=None):
             n_modes=N,
             dt=sec.get_float("dt", required=True),
             horizon=sec.get_float("T", required=True),
-            goodset=goodset,
             blowup_factor=sec.get_float("blowup_factor", 1e8),
             seed=seed_override if seed_override is not None else sec.get_int("seed", 0),
             linear_only=sec.get_str("linear_only", "false").lower() == "true",
         )
+        if noise == "diffusion" and radius.kind == "linear" and radius.beta >= 0.5 * nu ** 2:
+            raise ValueError("diffusion requires beta < nu^2/2")
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(f"sim: {exc}") from exc
-    return cfg, u0
+    return cfg, u0, c_sigma
 
 
 # --------------------------------------------------------------- writers ---
@@ -255,9 +252,10 @@ def cmd_simulate(args) -> int:
 
     worst = EXIT_OK
     summaries = []
+    base_cfg, u0, _ = build_sim(parser, seed_override=seeds[0])
     for seed in seeds:
-        cfg, u0 = build_sim(parser, seed_override=seed)
-        record = dynamics.run(u0, cfg, name=f"{name}_seed{seed}")
+        record = dynamics.run(u0, replace(base_cfg, seed=seed),
+                              name=f"{name}_seed{seed}")
         write_csv(record, out / f"{name}_seed{seed}.csv")
         summaries.append(summary_line(record))
         worst = max(worst, STATUS_EXIT_CODES[record.status])
@@ -278,19 +276,9 @@ def cmd_ensemble(args) -> int:
         raise ConfigError("ensemble.paths: must be at least 1")
     out = _ensure_outdir(args.out or _Section(parser, "output").get_str("dir", "out"))
 
-    cfg, u0 = build_sim(parser, seed_override=args.seed)
-    c_star_text = ens.get_str("c_star", None)
-    if c_star_text is None:
-        c_star = None
-    elif c_star_text.strip() == "estimate":
-        c_star = analysis.estimate_c_star(cfg.sigma, cfg.s, N=8, n_samples=64,
-                                          seed=2026).value
-    else:
-        try:
-            c_star = float(c_star_text)
-        except ValueError as exc:
-            raise ConfigError(f"ensemble.c_star: {exc}") from exc
-    c_sigma = _resolve_c_sigma(_Section(parser, "sim"), cfg.sigma)
+    cfg, u0, c_sigma = build_sim(parser, seed_override=args.seed)
+    c_star = _number_or_estimate(ens, "c_star", lambda: analysis.estimate_c_star(
+        cfg.sigma, cfg.s, N=8, n_samples=64, seed=2026))
     try:
         result = dynamics.run_global_experiment(
             u0, epsilon, cfg, n_paths, seed=cfg.seed,

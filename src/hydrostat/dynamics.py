@@ -25,7 +25,7 @@ import numpy as np
 from . import gevrey, spectral, stochastic
 from .gevrey import ExponentCapError, GevreyParams
 from .spectral import SpectralVelocity
-from .stochastic import BrownianPath, GoodSetParams
+from .stochastic import BrownianPath
 
 __all__ = [
     "RadiusSchedule",
@@ -108,6 +108,11 @@ class RadiusSchedule:
         return cls(kind="damping", phi0=phi0, alpha=alpha, beta=beta, nu=nu,
                    c_sigma=c_sigma, v0_norm=v0_norm, eta=eta)
 
+    def _damping_depth(self) -> float:
+        """Total radius loss of the 'damping' schedule as t -> inf."""
+        return (4.0 * self.c_sigma / (self.nu ** 2 - 2.0 * self.beta)) \
+            * (math.exp(self.alpha) * self.v0_norm + 1.0)
+
     def base(self, t) -> float:
         """Radius without the eta offset."""
         if self.kind == "linear":
@@ -115,9 +120,7 @@ class RadiusSchedule:
         if self.kind == "constant":
             return self.alpha
         rate = 0.5 * self.nu ** 2 - self.beta
-        depth = (4.0 * self.c_sigma / (self.nu ** 2 - 2.0 * self.beta)) \
-            * (math.exp(self.alpha) * self.v0_norm + 1.0)
-        return self.phi0 - depth * (1.0 - math.exp(-rate * t))
+        return self.phi0 - self._damping_depth() * (1.0 - math.exp(-rate * t))
 
     def value(self, t) -> float:
         """Tracked radius including the eta offset."""
@@ -127,9 +130,7 @@ class RadiusSchedule:
         """Long-time radius (without eta): finite for 'damping' and 'constant',
         and for 'linear' +inf, alpha or -inf by the sign of beta."""
         if self.kind == "damping":
-            depth = (4.0 * self.c_sigma / (self.nu ** 2 - 2.0 * self.beta)) \
-                * (math.exp(self.alpha) * self.v0_norm + 1.0)
-            return self.phi0 - depth
+            return self.phi0 - self._damping_depth()
         if self.kind == "constant":
             return self.alpha
         if self.beta > 0.0:
@@ -152,10 +153,8 @@ class SimConfig:
     n_modes: int
     dt: float
     horizon: float
-    goodset: GoodSetParams | None = None
     blowup_factor: float = 1e8
     seed: object = 0
-    exponent_cap: float = gevrey.EXPONENT_CAP
     linear_only: bool = False
 
     def __post_init__(self):
@@ -175,8 +174,6 @@ class SimConfig:
                     f"diffusion requires sigma in ({lo:.4f}, 2), got {self.sigma}")
             if self.nu <= 0.0:
                 raise ValueError("diffusion requires nu > 0")
-            if self.goodset is not None and self.goodset.beta >= 0.5 * self.nu ** 2:
-                raise ValueError("diffusion requires beta < nu^2/2")
         elif self.noise == "damping":
             if self.s != 0.0:
                 raise ValueError(f"damping requires s = 0, got {self.s}")
@@ -236,8 +233,8 @@ def _seed_repr(seed):
     return seed
 
 
-def twisted_transport(u: SpectralVelocity, nu: float, w: float, s: float,
-                      cap: float = gevrey.EXPONENT_CAP) -> SpectralVelocity:
+def twisted_transport(u: SpectralVelocity, nu: float, w: float,
+                      s: float) -> SpectralVelocity:
     """Conjugated transport term with W frozen at ``w``: the projected
     transport of the unconjugated field, conjugated back,
     ``exp(-nu*w*A^s) P Q(v, v)`` with ``v = exp(nu*w*A^s) u``.
@@ -247,15 +244,15 @@ def twisted_transport(u: SpectralVelocity, nu: float, w: float, s: float,
     factor ``exp(nu*w)``.  Raises ``ExponentCapError`` when ``|nu*w|`` would
     overflow the weight at the lattice corner, in both branches.
     """
-    gevrey.check_exponent_cap(abs(nu * w), s, u.N, cap)
+    gevrey.check_exponent_cap(abs(nu * w), s, u.N)
     if nu * w == 0.0 or s == 0.0:
         scale = math.exp(nu * w) if s == 0.0 else 1.0
         q = spectral.transport_bilinear(u, u)
         return scale * spectral.hydrostatic_leray(q)
-    v = gevrey.noise_transform(u, nu, w, s, "inverse", cap)
+    v = gevrey.noise_transform(u, nu, w, s, "inverse")
     q = spectral.transport_bilinear(v, v)
     pq = spectral.hydrostatic_leray(q)
-    return gevrey.noise_transform(pq, nu, w, s, "forward", cap)
+    return gevrey.noise_transform(pq, nu, w, s, "forward")
 
 
 def _ifrk4_step(u: SpectralVelocity, t: float, dt: float, path: BrownianPath,
@@ -268,7 +265,7 @@ def _ifrk4_step(u: SpectralVelocity, t: float, dt: float, path: BrownianPath,
     def nonlin(x: SpectralVelocity) -> SpectralVelocity:
         if cfg.linear_only:
             return SpectralVelocity.zeros(u.N)
-        return -twisted_transport(x, cfg.nu, w, s, cfg.exponent_cap)
+        return -twisted_transport(x, cfg.nu, w, s)
 
     def E(x: SpectralVelocity) -> SpectralVelocity:
         return replace(x, coeffs=x.coeffs * half_factor)
@@ -318,7 +315,7 @@ def recover_solution(u: SpectralVelocity, w: float, cfg: SimConfig,
             raise RadiusViolationError(
                 f"nu*W = {cfg.nu * w:.6g} exceeds tracked radius "
                 f"{cfg.radius.value(t):.6g} at t = {t:.6g}")
-        return gevrey.noise_transform(u, cfg.nu, w, cfg.s, "inverse", cfg.exponent_cap)
+        return gevrey.noise_transform(u, cfg.nu, w, cfg.s, "inverse")
     if cfg.noise == "damping":
         return math.exp(cfg.nu * w) * u
     return u.copy()
@@ -337,7 +334,11 @@ def run(u0: SpectralVelocity, cfg: SimConfig, path: BrownianPath | None = None,
     its initial value (or turns non-finite), 'radius_exhausted' when the
     tracked radius reaches zero, 'goodset_exit' when the noise exponent
     crosses the base radius (diffusion) or overflows the exponent cap.
+    Raises ``TruncationMismatchError`` when ``u0.N != cfg.n_modes``.
     """
+    if u0.N != cfg.n_modes:
+        raise spectral.TruncationMismatchError(
+            f"truncation mismatch: data N={u0.N} vs n_modes={cfg.n_modes}")
     if path is None:
         if cfg.noise == "none":
             path = _zero_path(cfg.horizon, cfg.dt)
@@ -357,16 +358,14 @@ def run(u0: SpectralVelocity, cfg: SimConfig, path: BrownianPath | None = None,
         w = float(path.values[k])
         phi_t = cfg.radius.value(t)
         p = cfg.norm_params(t)
-        gu = gevrey.norm(uk, "Gevrey", p, cfg.exponent_cap)
+        gu = gevrey.norm(uk, "Gevrey", p)
         l2 = gevrey.norm(uk, "L2", p)
         gv_val = math.nan
         try:
             if cfg.noise == "diffusion":
                 v = recover_solution(uk, w, cfg, t)
                 gv_val = gevrey.norm(
-                    v, "Gevrey",
-                    GevreyParams(cfg.sigma, cfg.norm_s, cfg.radius.eta),
-                    cfg.exponent_cap)
+                    v, "Gevrey", GevreyParams(cfg.sigma, cfg.norm_s, cfg.radius.eta))
             elif cfg.noise == "damping":
                 gv_val = math.exp(cfg.nu * w) * gu
             else:
@@ -403,7 +402,7 @@ def run(u0: SpectralVelocity, cfg: SimConfig, path: BrownianPath | None = None,
             if (k + 1) % stride == 0 or last:
                 gu = record(k + 1, u)
             else:
-                gu = gevrey.norm(u, "Gevrey", cfg.norm_params(t1), cfg.exponent_cap)
+                gu = gevrey.norm(u, "Gevrey", cfg.norm_params(t1))
         except ExponentCapError:
             status, t_final = STATUS_GOODSET_EXIT, t0
             break
@@ -452,18 +451,6 @@ class GlobalExperimentResult:
     alpha: float
     beta: float
     nu: float
-    threshold_margin: float
-
-    def summary(self) -> dict:
-        return {
-            "completed_fraction": self.completed_fraction,
-            "target": self.target,
-            "std_error": self.std_error,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "nu": self.nu,
-            "threshold_margin": self.threshold_margin,
-        }
 
 
 def run_global_experiment(v0: SpectralVelocity, epsilon: float, cfg: SimConfig,
@@ -486,35 +473,27 @@ def run_global_experiment(v0: SpectralVelocity, epsilon: float, cfg: SimConfig,
         if c_star is None:
             raise ThresholdError("diffusion experiment needs the empirical c_star")
         eta = cfg.radius.eta if cfg.radius.eta > 0 else alpha / 10.0
-        v0n = gevrey.norm(v0, "Gevrey", GevreyParams(cfg.sigma, cfg.s, alpha + eta),
-                          cfg.exponent_cap)
-        margin = nu ** 2 - 4.0 * c_star * v0n
-        if margin <= 0.0:
+        v0n = gevrey.norm(v0, "Gevrey", GevreyParams(cfg.sigma, cfg.s, alpha + eta))
+        if nu ** 2 <= 4.0 * c_star * v0n:
             raise ThresholdError(
                 f"need nu^2 > 4*c_star*|V0| = {4.0 * c_star * v0n:.6g}, "
                 f"got nu^2 = {nu ** 2:.6g}")
         sched = RadiusSchedule.linear(alpha, beta, eta=eta)
-        goodset = GoodSetParams(alpha=alpha, beta=beta, nu=nu)
-        run_cfg = replace(cfg, radius=sched, goodset=goodset)
     elif cfg.noise == "damping":
         if c_sigma is None:
             raise ThresholdError("damping experiment needs the empirical c_sigma")
         phi0 = cfg.radius.phi0 if cfg.radius.kind == "damping" else cfg.radius.value(0.0)
-        v0n = gevrey.norm(v0, "Gevrey", GevreyParams(cfg.sigma, 1.0, phi0),
-                          cfg.exponent_cap)
+        v0n = gevrey.norm(v0, "Gevrey", GevreyParams(cfg.sigma, 1.0, phi0))
         required = (8.0 * c_sigma / phi0) * (math.exp(alpha) * v0n + 1.0)
-        margin = nu ** 2 - required
-        if margin < 0.0:
+        if nu ** 2 < required:
             raise ThresholdError(
                 f"need nu^2 >= (8*c_sigma/phi0)*(eps^-4*|V0| + 1) = {required:.6g}, "
                 f"got nu^2 = {nu ** 2:.6g}")
         sched = RadiusSchedule.damping(phi0, alpha, beta, nu, c_sigma, v0n)
-        goodset = GoodSetParams(alpha=alpha, beta=beta, nu=nu)
-        run_cfg = replace(cfg, radius=sched, goodset=goodset)
     else:
         raise ThresholdError("global experiment needs a stochastic noise kind")
 
-    records = run_ensemble(v0, run_cfg, n_paths, seed=seed)
+    records = run_ensemble(v0, replace(cfg, radius=sched), n_paths, seed=seed)
     completed = sum(1 for r in records if r.status == STATUS_COMPLETED)
     frac = completed / n_paths
     return GlobalExperimentResult(
@@ -526,5 +505,4 @@ def run_global_experiment(v0: SpectralVelocity, epsilon: float, cfg: SimConfig,
         alpha=alpha,
         beta=beta,
         nu=nu,
-        threshold_margin=margin,
     )

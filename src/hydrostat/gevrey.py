@@ -27,11 +27,12 @@ __all__ = [
 
 # Just below the double-precision overflow threshold of exp(x); a radius /
 # truncation combination exceeding it fails loudly instead of returning inf.
+# A numerical constant of the lab, not a parameter of the model.
 EXPONENT_CAP = 700.0
 
 
 class ExponentCapError(OverflowError):
-    """Requested exponential weight exceeds the configured cap."""
+    """Requested exponential weight exceeds ``EXPONENT_CAP``."""
 
 
 @dataclass(frozen=True)
@@ -57,23 +58,23 @@ def max_abs_k(N: int) -> float:
     return 2.0 * np.pi * N * np.sqrt(3.0)
 
 
-def check_exponent_cap(phi: float, s: float, N: int, cap: float = EXPONENT_CAP) -> None:
-    """Reject exponential weights that would overflow at the grid corner."""
-    if phi * max_abs_k(N) ** s > cap:
+def check_exponent_cap(phi: float, s: float, N: int) -> None:
+    """Reject exponential weights that would overflow at the grid corner,
+    where phi*|k|_max^s exceeds ``EXPONENT_CAP``."""
+    if phi * max_abs_k(N) ** s > EXPONENT_CAP:
         raise ExponentCapError(
             f"exponent phi*|k|_max^s = {phi * max_abs_k(N) ** s:.3g} exceeds "
-            f"cap {cap:.3g} (phi={phi:.6g}, s={s:.3g}, N={N})"
+            f"cap {EXPONENT_CAP:.3g} (phi={phi:.6g}, s={s:.3g}, N={N})"
         )
 
 
-def exp_multiplier(field, phi: float, s: float, cap: float = EXPONENT_CAP):
+def exp_multiplier(field, phi: float, s: float):
     """Multiply each coefficient by exp(phi * |k|^s); phi may be negative."""
-    check_exponent_cap(phi, s, field.N, cap)
+    check_exponent_cap(phi, s, field.N)
     return replace(field, coeffs=field.coeffs * np.exp(phi * abs_k(field.N) ** s))
 
 
-def noise_transform(field, nu: float, w: float, s: float, direction: str = "forward",
-                    cap: float = EXPONENT_CAP):
+def noise_transform(field, nu: float, w: float, s: float, direction: str = "forward"):
     """Apply the noise conjugation multiplier exp(-nu*W*|k|^s) or its inverse.
 
     'forward' damps with exponent -nu*w, 'inverse' undoes it; for s = 0 both
@@ -85,7 +86,7 @@ def noise_transform(field, nu: float, w: float, s: float, direction: str = "forw
         phi = nu * w
     else:
         raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
-    return exp_multiplier(field, phi, s, cap)
+    return exp_multiplier(field, phi, s)
 
 
 @lru_cache(maxsize=32)
@@ -103,7 +104,7 @@ def _ordered_sum(terms: np.ndarray, N: int) -> float:
     return float(np.sum(terms.ravel()[order]))
 
 
-def norm(field, kind: str, params: GevreyParams, cap: float = EXPONENT_CAP) -> float:
+def norm(field, kind: str, params: GevreyParams) -> float:
     """Weighted coefficient norm of a field.
 
     Kinds: 'L2', and 'Gevrey' / 'Gevrey_dot' with weight
@@ -116,7 +117,7 @@ def norm(field, kind: str, params: GevreyParams, cap: float = EXPONENT_CAP) -> f
         return float(np.sqrt(_ordered_sum(a * a, N)))
     if kind not in ("Gevrey", "Gevrey_dot"):
         raise ValueError(f"unknown norm kind {kind!r}")
-    check_exponent_cap(params.phi, params.s, N, cap)
+    check_exponent_cap(params.phi, params.s, N)
     kk = abs_k(N)
     r = params.sigma * params.s
     weighted = np.exp(params.phi * kk ** params.s) * (kk ** r) * a

@@ -45,12 +45,7 @@ class PicardDivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class MildProblem:
-    """Fixed-point problem description.
-
-    ``ball_radius`` defaults to twice the sqrt(2)-inflated homogeneous
-    Gevrey size of the data at the initial radius, the smallest ball the
-    contraction construction can use.
-    """
+    """Fixed-point problem description."""
 
     u0: SpectralVelocity
     cfg: SimConfig
@@ -58,7 +53,6 @@ class MildProblem:
     n_nodes: int = 64
     tol: float = 1e-10
     max_iter: int = 40
-    ball_radius: float | None = None
 
     def __post_init__(self):
         if self.cfg.noise != "diffusion":
@@ -71,14 +65,12 @@ class MildProblem:
         return np.linspace(0.0, self.horizon, self.n_nodes)
 
     def default_ball_radius(self) -> float:
+        """Twice the sqrt(2)-inflated homogeneous Gevrey size of the data at
+        the initial radius: the smallest ball the contraction construction
+        can use."""
         alpha = self.cfg.radius.value(0.0)
         p = GevreyParams(self.cfg.sigma, self.cfg.s, alpha)
-        return 2.0 * math.sqrt(2.0) * gevrey.norm(self.u0, "Gevrey_dot", p,
-                                                  self.cfg.exponent_cap)
-
-    def effective_ball_radius(self) -> float:
-        return self.ball_radius if self.ball_radius is not None \
-            else self.default_ball_radius()
+        return 2.0 * math.sqrt(2.0) * gevrey.norm(self.u0, "Gevrey_dot", p)
 
     def radius_at(self, t: float) -> float:
         return self.cfg.radius.value(t)
@@ -115,8 +107,7 @@ def duhamel_map(trajectory: list, prob: MildProblem, path: BrownianPath) -> list
             continue
         w = path.value_at(float(t))
         integrand.append(
-            dynamics.twisted_transport(trajectory[j], cfg.nu, w, cfg.s,
-                                       cfg.exponent_cap).coeffs)
+            dynamics.twisted_transport(trajectory[j], cfg.nu, w, cfg.s).coeffs)
 
     out = []
     zero_idx = (slice(None), N, N, N)
@@ -150,16 +141,14 @@ def _sup_diff(a: list, b: list, prob: MildProblem) -> float:
     worst = 0.0
     for t, ua, ub in zip(prob.times, a, b):
         p = GevreyParams(cfg.sigma, cfg.s, prob.radius_at(float(t)))
-        worst = max(worst, gevrey.norm(ua - ub, "Gevrey", p, cfg.exponent_cap))
+        worst = max(worst, gevrey.norm(ua - ub, "Gevrey", p))
     return worst
 
 
 def _sup_norm(a: list, prob: MildProblem) -> float:
     cfg = prob.cfg
     return max(
-        gevrey.norm(u, "Gevrey",
-                    GevreyParams(cfg.sigma, cfg.s, prob.radius_at(float(t))),
-                    cfg.exponent_cap)
+        gevrey.norm(u, "Gevrey", GevreyParams(cfg.sigma, cfg.s, prob.radius_at(float(t))))
         for t, u in zip(prob.times, a))
 
 
@@ -173,7 +162,7 @@ def fixed_point_solve(prob: MildProblem, path: BrownianPath) -> PicardResult:
     """
     u0p = spectral.project_constraints(prob.u0)
     current = [u0p.copy() for _ in prob.times]
-    ball = prob.effective_ball_radius()
+    ball = prob.default_ball_radius()
     in_ball = True
     diffs = []
     contraction = math.nan

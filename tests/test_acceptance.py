@@ -178,8 +178,8 @@ def test_criterion_07_damping_gronwall(c_sigma_est):
     sched = RadiusSchedule.damping(phi0, alpha, beta, nu, c_sig, 0.05)
     T, dt = 0.5, 2.5e-3
     cfg = SimConfig(noise="damping", nu=nu, s=0.0, sigma=sigma, radius=sched,
-                    n_modes=N, dt=dt, horizon=T,
-                    goodset=GoodSetParams(alpha, beta, nu))
+                    n_modes=N, dt=dt, horizon=T)
+    goodset = GoodSetParams(alpha, beta, nu)
     worst_excess = -math.inf
     min_phi = math.inf
     n_good = 0
@@ -188,7 +188,7 @@ def test_criterion_07_damping_gronwall(c_sigma_est):
         sub = stochastic.path_seed(314, i)
         i += 1
         path = stochastic.sample_path(T, dt, sub)
-        if not stochastic.good_set_indicator(path, cfg.goodset)[0]:
+        if not stochastic.good_set_indicator(path, goodset)[0]:
             continue
         n_good += 1
         rec = dynamics.run(u0, cfg, path)
@@ -280,15 +280,15 @@ def test_criterion_09_regularization_contrast(c_sigma_est):
     beta = nu ** 2 / 4.0
     sched = RadiusSchedule.damping(phi0, alpha, beta, nu, c_sig, v0n)
     cfg1 = SimConfig(noise="damping", nu=nu, s=0.0, sigma=sigma, radius=sched,
-                     n_modes=N, dt=2.5e-3, horizon=T, blowup_factor=1e6,
-                     goodset=GoodSetParams(alpha, beta, nu))
+                     n_modes=N, dt=2.5e-3, horizon=T, blowup_factor=1e6)
+    goodset = GoodSetParams(alpha, beta, nu)
     n_good = completed = 0
     i = 0
     while n_good < 25 and i < 200:
         sub = stochastic.path_seed(1618, i)
         i += 1
         path = stochastic.sample_path(T, cfg1.dt, sub)
-        if not stochastic.good_set_indicator(path, cfg1.goodset)[0]:
+        if not stochastic.good_set_indicator(path, goodset)[0]:
             continue
         n_good += 1
         rec = dynamics.run(v0, cfg1, path)

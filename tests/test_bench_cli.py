@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from hydrostat import bench_cli, dynamics
+from hydrostat import analysis, bench_cli, dynamics
 
 
 def run_cli(args, env_extra=None):
@@ -178,6 +178,32 @@ dir = {outdir}
         assert res.returncode == bench_cli.EXIT_CONFIG
         assert "initial_data.family" in res.stderr
 
+    DIFFUSION_CONFIG = """
+[sim]
+noise = diffusion
+nu = 1.0
+s = 1.0
+sigma = 1.9
+N = 4
+dt = 1e-3
+T = 0.01
+radius_kind = linear
+alpha = 1.0
+beta = {beta}
+"""
+
+    def test_diffusion_beta_cap_is_config_error(self, tmp_path, capsys):
+        # beta < nu^2/2 is input validation of a diffusion config with a
+        # linear radius, checked after the SimConfig's own checks
+        cfg = write_config(tmp_path, self.DIFFUSION_CONFIG.format(beta=0.5))
+        assert bench_cli.main(["simulate", "--config", cfg, "--quiet"]) \
+            == bench_cli.EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            "config error: sim: diffusion requires beta < nu^2/2\n"
+        ok = write_config(tmp_path, self.DIFFUSION_CONFIG.format(beta=0.49), "ok.ini")
+        cfg, _, _ = bench_cli.build_sim(bench_cli.load_config(ok))
+        assert cfg.radius.beta == 0.49
+
     def test_missing_config_flag(self):
         res = run_cli(["simulate"])
         assert res.returncode == bench_cli.EXIT_CONFIG
@@ -247,6 +273,19 @@ dir = {outdir}
         runs = (tmp_path / "ens_runs.jsonl").read_text().strip().splitlines()
         assert len(runs) == 2
 
+    def test_c_sigma_estimate_runs_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return analysis.ConstantEstimate(value=0.001, p95=0.001, n_samples=64)
+
+        monkeypatch.setattr(analysis, "estimate_c_sigma", counted)
+        cfg = write_config(tmp_path, self.ENSEMBLE_CONFIG.format(
+            c_sigma="estimate", paths=2, outdir=tmp_path))
+        assert bench_cli.main(["ensemble", "--config", cfg, "--quiet"]) == 0
+        assert len(calls) == 1
+
     def test_goodset_fraction_matches_stochastic_module(self, tmp_path):
         # ignoring the PDE outcome, the per-run goodset flags reproduce the
         # direct survival estimate path by path
@@ -302,7 +341,7 @@ normalize_phi = 3.0498475944637593
         # the tracked norm's round-off floor must stay >= 10x below the
         # blowup threshold, or round-off alone would decide run statuses
         parser = bench_cli.load_config(write_config(tmp_path, self.ROUNDOFF_CONFIG))
-        cfg, u0 = bench_cli.build_sim(parser, seed_override=7)
+        cfg, u0, _ = bench_cli.build_sim(parser, seed_override=7)
         result = dynamics.run_global_experiment(u0, 0.5, cfg, 8, seed=cfg.seed,
                                                 c_star=c_star_est.value)
         for r in result.records:

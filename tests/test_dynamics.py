@@ -79,13 +79,6 @@ class TestSimConfigValidation:
                       radius=RadiusSchedule.linear(1.0, 0.1), n_modes=4,
                       dt=1e-3, horizon=1.0)
 
-    def test_diffusion_beta_cap(self):
-        with pytest.raises(ValueError, match="beta"):
-            SimConfig(noise="diffusion", nu=1.0, s=1.0, sigma=1.9,
-                      radius=RadiusSchedule.linear(1.0, 0.1), n_modes=4,
-                      dt=1e-3, horizon=1.0,
-                      goodset=GoodSetParams(1.0, 0.6, 1.0))
-
     def test_damping_requires_s_zero_and_sigma(self):
         with pytest.raises(ValueError, match="s = 0"):
             SimConfig(noise="damping", nu=1.0, s=0.5, sigma=2.6,
@@ -249,17 +242,25 @@ class TestRun:
 
     def test_damping_exits_at_exponent_cap(self):
         # the scalar (s = 0) twisted transport checks the cap up front:
-        # nu*W = 3*W first exceeds the cap 5 at W(0.02) = 2
+        # from t = 0.02 on, nu*W = 3*300 exceeds the cap, where math.exp
+        # alone would raise an uncaught OverflowError
         N, dt = 4, 0.01
         times = dt * np.arange(11)
-        path = BrownianPath(times=times, values=np.linspace(0.0, 10.0, 11),
-                            seed=None, dt=dt)
+        values = np.full(11, 300.0)
+        values[:2] = 0.0
+        assert 3.0 * 300.0 > gevrey.EXPONENT_CAP
+        path = BrownianPath(times=times, values=values, seed=None, dt=dt)
         cfg = SimConfig(noise="damping", nu=3.0, s=0.0, sigma=2.6,
                         radius=RadiusSchedule.constant(0.01), n_modes=N,
-                        dt=dt, horizon=0.1, exponent_cap=5.0)
+                        dt=dt, horizon=0.1)
         rec = dy.run(small_two_mode(N, amplitude=1e-6), cfg, path)
         assert rec.status == "goodset_exit"
         assert rec.t_final == 0.02
+
+    def test_truncation_mismatch_rejected(self):
+        cfg = damping_cfg(N=4, T=0.02)
+        with pytest.raises(spectral.TruncationMismatchError):
+            dy.run(small_two_mode(6), cfg)
 
     def test_blowup_status(self):
         N = 6
@@ -307,11 +308,11 @@ class TestDampingGronwallStep:
         sched = RadiusSchedule.damping(phi0, alpha, beta, nu,
                                        c_sigma_est.value, 0.05)
         cfg = SimConfig(noise="damping", nu=nu, s=0.0, sigma=2.6,
-                        radius=sched, n_modes=N, dt=2e-3, horizon=0.2,
-                        goodset=GoodSetParams(alpha, beta, nu))
+                        radius=sched, n_modes=N, dt=2e-3, horizon=0.2)
+        goodset = GoodSetParams(alpha, beta, nu)
         for i in range(40):
             path = stochastic.sample_path(0.2, 2e-3, stochastic.path_seed(21, i))
-            if stochastic.good_set_indicator(path, cfg.goodset)[0]:
+            if stochastic.good_set_indicator(path, goodset)[0]:
                 break
         rec = dy.run(u0, cfg, path)
         assert rec.status == "completed"
