@@ -138,10 +138,16 @@ def nonlinear_estimate_ratio(u: SpectralVelocity, sigma: float, phi: float) -> f
     """
     if sigma <= 2.0:
         raise ValueError(f"transport estimate requires sigma > 2, got {sigma}")
-    kk = spectral.abs_k(u.N)
     if float(np.abs(u.coeffs).max()) == 0.0:
         return 0.0
-    q = spectral.transport_bilinear(u, u)
+    return _transport_ratio(u, spectral.transport_bilinear(u, u), sigma, phi)
+
+
+def _transport_ratio(u: SpectralVelocity, q: SpectralVelocity, sigma: float,
+                     phi: float) -> float:
+    """``nonlinear_estimate_ratio`` given q = Q(u, u), which does not depend
+    on the radius phi; 0 for u = 0."""
+    kk = spectral.abs_k(u.N)
     weight = np.exp(2.0 * phi * kk) * kk ** (2.0 * sigma)
     lhs = abs(float(np.sum(weight * q.coeffs * np.conj(u.coeffs)).real))
     n_sig = gevrey.norm(u, "Gevrey_dot", GevreyParams(sigma, 1.0, phi))
@@ -183,12 +189,15 @@ def estimate_c_sigma(sigma: float, N: int, n_samples: int, seed) -> ConstantEsti
     """Empirical constant of the transport estimate over seeded samples."""
     if n_samples < 1:
         raise ValueError("need at least one sample")
+    if sigma <= 2.0:
+        raise ValueError(f"transport estimate requires sigma > 2, got {sigma}")
     decay = sigma + 2.0
     ratios = []
     for i in range(n_samples):
         u = decayed_random_velocity(N, decay, np.random.SeedSequence(entropy=seed,
                                                                      spawn_key=(i,)))
-        ratios.append(max(nonlinear_estimate_ratio(u, sigma, phi) for phi in PHIS))
+        q = spectral.transport_bilinear(u, u)  # one Q(u, u) for every radius
+        ratios.append(max(_transport_ratio(u, q, sigma, phi) for phi in PHIS))
     arr = np.sort(np.asarray(ratios))
     return ConstantEstimate(value=float(arr[-1]),
                             p95=float(np.quantile(arr, 0.95)),
@@ -214,6 +223,7 @@ def estimate_c_star(sigma: float, s: float, N: int, n_samples: int,
         raise ValueError("need at least one sample")
     decay = sigma * s + 2.0
     kk = spectral.abs_k(N)
+    weights = {phi: np.exp(2.0 * phi * kk ** s) * kk ** (2.0 * sigma * s) for phi in PHIS}
     ratios = []
     for i in range(n_samples):
         u = decayed_random_velocity(N, decay, np.random.SeedSequence(entropy=seed,
@@ -231,8 +241,7 @@ def estimate_c_star(sigma: float, s: float, N: int, n_samples: int,
                 if key not in b_cache:
                     b_cache[key] = dynamics.twisted_transport(u, 1.0, nu_w, s)
                 b = b_cache[key]
-                weight = np.exp(2.0 * phi * kk ** s) * kk ** (2.0 * sigma * s)
-                lhs = abs(float(np.sum(weight * b.coeffs * np.conj(u.coeffs)).real))
+                lhs = abs(float(np.sum(weights[phi] * b.coeffs * np.conj(u.coeffs)).real))
                 rhs = n_sig[phi] * n_one[phi] ** 2
                 if rhs > 0.0:
                     best = max(best, lhs / rhs)

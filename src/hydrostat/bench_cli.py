@@ -197,8 +197,6 @@ def build_sim(parser: configparser.ConfigParser, seed_override=None):
             seed=seed_override if seed_override is not None else sec.get_int("seed", 0),
             linear_only=sec.get_str("linear_only", "false").lower() == "true",
         )
-        if noise == "diffusion" and radius.kind == "linear" and radius.beta >= 0.5 * nu ** 2:
-            raise ValueError("diffusion requires beta < nu^2/2")
     except ConfigError:
         raise
     except ValueError as exc:
@@ -253,6 +251,11 @@ def cmd_simulate(args) -> int:
     worst = EXIT_OK
     summaries = []
     base_cfg, u0, _ = build_sim(parser, seed_override=seeds[0])
+    # `ensemble` replaces the radius, so only `simulate` runs on this beta
+    radius = base_cfg.radius
+    if base_cfg.noise == "diffusion" and radius.kind == "linear" \
+            and radius.beta >= 0.5 * base_cfg.nu ** 2:
+        raise ConfigError("sim: diffusion requires beta < nu^2/2")
     for seed in seeds:
         record = dynamics.run(u0, replace(base_cfg, seed=seed),
                               name=f"{name}_seed{seed}")

@@ -275,9 +275,10 @@ def _ifrk4_step(u: SpectralVelocity, t: float, dt: float, path: BrownianPath,
     b = nonlin(ua)
     ub = E(u) + (0.5 * dt) * b
     c = nonlin(ub)
-    uc = E(E(u)) + dt * E(c)
+    eeu = E(E(u))
+    uc = eeu + dt * E(c)
     d = nonlin(uc)
-    out = E(E(u)) + (dt / 6.0) * (E(E(a)) + 2.0 * E(b + c) + d)
+    out = eeu + (dt / 6.0) * (E(E(a)) + 2.0 * E(b + c) + d)
     return spectral.project_constraints(out)
 
 

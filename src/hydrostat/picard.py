@@ -5,7 +5,8 @@ and subtracts the propagated time integral of the projected twisted
 transport term (composite trapezoid on a uniform grid).  Iterating the map
 from the constant-in-time trajectory realizes the contraction construction;
 the measured ratio of successive differences estimates the contraction
-factor.
+factor.  The map evaluates one transport per distinct (trajectory entry, W)
+pair, so the first iterate on a zero path costs a single transport.
 
 The kernel is smooth on the truncated mode set, so the trapezoid rule is
 adequate; node-doubling convergence is the verification.  High dissipation
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -76,11 +78,15 @@ class MildProblem:
         return self.cfg.radius.value(t)
 
 
-def _heat_factors(cfg: SimConfig, N: int, h: float, n: int) -> list:
-    """Per-mode heat factors exp(-0.5*nu^2*(d*h)*|k|^(2s)) for d = 0..n-1."""
-    kk2s = spectral.abs_k(N) ** (2.0 * cfg.s)
-    rate = -0.5 * cfg.nu ** 2 * kk2s
-    return [np.exp(rate * (d * h)) for d in range(n)]
+@lru_cache(maxsize=4)
+def _heat_factors(N: int, s: float, nu: float, h: float, n: int) -> tuple:
+    """Per-mode heat factors exp(-0.5*nu^2*(d*h)*|k|^(2s)) for d = 0..n-1,
+    read-only and built once per grid, not once per map application."""
+    rate = -0.5 * nu ** 2 * spectral.abs_k(N) ** (2.0 * s)
+    factors = tuple(np.exp(rate * (d * h)) for d in range(n))
+    for f in factors:
+        f.setflags(write=False)
+    return factors
 
 
 def duhamel_map(trajectory: list, prob: MildProblem, path: BrownianPath) -> list:
@@ -88,7 +94,8 @@ def duhamel_map(trajectory: list, prob: MildProblem, path: BrownianPath) -> list
 
     Element i of the result is the heat-propagated data at t_i minus the
     trapezoid approximation of the propagated integrand over [0, t_i]; the
-    output has zero mean at every node.
+    output has zero mean at every node.  Nodes that hold the same trajectory
+    object under equal W values are one input and share one transport.
     """
     times = prob.times
     n = len(times)
@@ -97,17 +104,23 @@ def duhamel_map(trajectory: list, prob: MildProblem, path: BrownianPath) -> list
     cfg = prob.cfg
     N = prob.u0.N
     h = times[1] - times[0]
-    heat = _heat_factors(cfg, N, h, n)
+    heat = _heat_factors(N, cfg.s, cfg.nu, h, n)
 
     integrand = []
     zeros = np.zeros_like(prob.u0.coeffs)
+    # (id of the trajectory entry, W) -> its transport; ``trajectory`` keeps
+    # every entry alive during the call, so an id names one input
+    transports: dict = {}
     for j, t in enumerate(times):
         if cfg.linear_only:
             integrand.append(zeros)
             continue
         w = path.value_at(float(t))
-        integrand.append(
-            dynamics.twisted_transport(trajectory[j], cfg.nu, w, cfg.s).coeffs)
+        key = (id(trajectory[j]), w)
+        if key not in transports:
+            transports[key] = dynamics.twisted_transport(
+                trajectory[j], cfg.nu, w, cfg.s).coeffs
+        integrand.append(transports[key])
 
     out = []
     zero_idx = (slice(None), N, N, N)
@@ -155,13 +168,14 @@ def _sup_norm(a: list, prob: MildProblem) -> float:
 def fixed_point_solve(prob: MildProblem, path: BrownianPath) -> PicardResult:
     """Iterate the mild solution map from the constant-in-time trajectory.
 
+    The starting trajectory is one projected datum shared by every node.
     Stops when the sup-Gevrey distance between successive trajectories drops
     below ``prob.tol``; raises PicardDivergenceError after ``max_iter``
     iterations, mirroring the horizon-smallness requirement of the
     contraction construction.
     """
     u0p = spectral.project_constraints(prob.u0)
-    current = [u0p.copy() for _ in prob.times]
+    current = [u0p] * prob.n_nodes  # one object: one transport per distinct W
     ball = prob.default_ball_radius()
     in_ball = True
     diffs = []
@@ -171,7 +185,8 @@ def fixed_point_solve(prob: MildProblem, path: BrownianPath) -> PicardResult:
         d = _sup_diff(nxt, current, prob)
         diffs.append(d)
         current = nxt
-        in_ball = in_ball and _sup_norm(current, prob) <= ball * (1.0 + 1e-12)
+        sup = _sup_norm(current, prob)
+        in_ball = in_ball and sup <= ball * (1.0 + 1e-12)
         if len(diffs) >= 2 and diffs[-2] > 0.0:
             ratio = diffs[-1] / diffs[-2]
             contraction = ratio if math.isnan(contraction) else max(contraction, ratio)
@@ -182,7 +197,7 @@ def fixed_point_solve(prob: MildProblem, path: BrownianPath) -> PicardResult:
                 iterations=it,
                 contraction_estimate=contraction,
                 difference_history=diffs,
-                sup_norm=_sup_norm(current, prob),
+                sup_norm=sup,
                 ball_radius=ball,
                 stayed_in_ball=in_ball,
             )

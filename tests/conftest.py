@@ -17,6 +17,20 @@ def c_star_est():
 
 
 @pytest.fixture
+def transport_calls(monkeypatch):
+    """List that gains one entry per ``spectral.transport_bilinear`` call."""
+    calls = []
+    transport = spectral.transport_bilinear
+
+    def counted(u, f):
+        calls.append(1)
+        return transport(u, f)
+
+    monkeypatch.setattr(spectral, "transport_bilinear", counted)
+    return calls
+
+
+@pytest.fixture
 def projected_field():
     def make(N=8, seed=0, decay=3.5, amplitude=1.0):
         return spectral.project_constraints(

@@ -141,6 +141,19 @@ class TestEstimators:
         est = an.estimate_c_star(1.9, 1.0, N=8, n_samples=64, seed=2026)
         assert est.value == pytest.approx(5.7518363639843796e-05, rel=1e-12)
 
+    def test_c_sigma_one_transport_per_sample(self, transport_calls):
+        # Q(u, u) does not depend on the radius: one transport per sample,
+        # and the value is bitwise the per-radius maximum of the public ratio
+        k = 5
+        est = an.estimate_c_sigma(2.6, N=6, n_samples=k, seed=4)
+        assert len(transport_calls) == k
+        expect = max(
+            an.nonlinear_estimate_ratio(u, 2.6, phi) for i in range(k)
+            for u in [an.decayed_random_velocity(
+                6, 4.6, np.random.SeedSequence(entropy=4, spawn_key=(i,)))]
+            for phi in an.PHIS)
+        assert est.value == expect
+
     def test_truncation_stability(self, c_sigma_est):
         small = an.estimate_c_sigma(2.6, N=6, n_samples=50, seed=2026)
         assert 0.25 < c_sigma_est.value / small.value < 4.0

@@ -349,6 +349,37 @@ normalize_phi = 3.0498475944637593
             assert r.status == dynamics.STATUS_COMPLETED, r.name
             assert 10.0 * r.max_gevrey_norm <= threshold, (r.name, r.max_gevrey_norm)
 
+    def test_roundoff_floor_over_48_paths(self, tmp_path, c_star_est):
+        # the round-off tail that decides an `ensemble` op: on 48 paths the
+        # largest floor read 5.5e6 against a 5e7 threshold
+        parser = bench_cli.load_config(write_config(tmp_path, self.ROUNDOFF_CONFIG))
+        cfg, u0, _ = bench_cli.build_sim(parser)
+        for seed in range(901, 907):
+            result = dynamics.run_global_experiment(u0, 0.5, cfg, 8, seed=seed,
+                                                    c_star=c_star_est.value)
+            for r in result.records:
+                threshold = cfg.blowup_factor * r.gevrey_norm_u[0]
+                assert r.status == dynamics.STATUS_COMPLETED, (seed, r.name)
+                assert 2.0 * r.max_gevrey_norm <= threshold, (seed, r.name,
+                                                              r.max_gevrey_norm)
+
+    def test_diffusion_ensemble_ignores_config_beta(self, tmp_path, c_star_est):
+        # the experiment replaces the radius, so a beta the diffusion cap
+        # would reject changes nothing in the report
+        ensemble = f"[ensemble]\nepsilon = 0.5\npaths = 2\nc_star = {c_star_est.value!r}\n"
+        valid_beta = "beta = 0.0025000000000000005"
+        assert valid_beta in self.ROUNDOFF_CONFIG
+        reports = []
+        for beta in (valid_beta, f"beta = {0.1 ** 2!r}"):
+            out = tmp_path / beta.split()[-1]
+            cfg = write_config(tmp_path, self.ROUNDOFF_CONFIG.replace(valid_beta, beta)
+                               + ensemble)
+            assert bench_cli.main(["ensemble", "--config", cfg, "--out", str(out),
+                                   "--seed", "3", "--quiet"]) == bench_cli.EXIT_OK
+            reports.append(((out / "diffusion_ensemble.json").read_bytes(),
+                            (out / "diffusion_runs.jsonl").read_bytes()))
+        assert reports[0] == reports[1]
+
 
 class TestGoodsetCommand:
     def test_record_fields_and_anchors(self):

@@ -159,6 +159,31 @@ class TestFixedPoint:
         assert res.stayed_in_ball
         assert res.sup_norm <= res.ball_radius == prob.default_ball_radius()
 
+    def test_zero_path_shares_first_iteration_transport(self, transport_calls):
+        # iteration 1 maps one shared constant trajectory under W = 0 at
+        # every node: one transport, then one per node per iteration
+        u0 = small_data()
+        prob = MildProblem(u0=u0, cfg=make_cfg(), horizon=0.05, n_nodes=17,
+                           tol=1e-12)
+        path = dy._zero_path(0.05, 1e-3)
+        res = picard.fixed_point_solve(prob, path)
+        assert len(transport_calls) == 1 + (res.iterations - 1) * prob.n_nodes
+        u0p = spectral.project_constraints(u0)
+        traj = [u0p.copy() for _ in prob.times]
+        for _ in range(res.iterations):
+            traj = picard.duhamel_map(traj, prob, path)
+        for a, b in zip(res.trajectory, traj):
+            assert np.array_equal(a.coeffs, b.coeffs)
+
+    def test_brownian_path_shares_nothing(self, transport_calls):
+        # no two nodes of a sampled path share a W value
+        horizon = 0.05
+        prob = MildProblem(u0=small_data(), cfg=make_cfg(), horizon=horizon,
+                           n_nodes=9, tol=1e-12)
+        path = stochastic.sample_path(horizon, horizon / 8, seed=3)
+        res = picard.fixed_point_solve(prob, path)
+        assert len(transport_calls) == res.iterations * prob.n_nodes
+
     def test_quadrature_second_order_on_smooth_problem(self):
         # mild dissipation keeps the kernel smooth on the grid: halving the
         # node spacing shrinks the converged trajectory change by ~4
