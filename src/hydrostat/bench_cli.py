@@ -163,8 +163,7 @@ def _make_initial_data(sec: _Section, family: str, N: int):
         params = GevreyParams(sec.get_float("normalize_sigma", required=True),
                               sec.get_float("normalize_s", 1.0),
                               sec.get_float("normalize_phi", 0.0))
-        u0 = initial_data.normalize_to(u0, target, params,
-                                       sec.get_str("normalize_kind", "Gevrey"))
+        u0 = initial_data.normalize_to(u0, target, params)
     return u0
 
 
@@ -195,7 +194,6 @@ def build_sim(parser: configparser.ConfigParser, seed_override=None):
             horizon=sec.get_float("T", required=True),
             blowup_factor=sec.get_float("blowup_factor", 1e8),
             seed=seed_override if seed_override is not None else sec.get_int("seed", 0),
-            linear_only=sec.get_str("linear_only", "false").lower() == "true",
         )
     except ConfigError:
         raise
@@ -311,25 +309,13 @@ def cmd_ensemble(args) -> int:
 
 
 def cmd_goodset(args) -> int:
-    if args.config:
-        sec = _Section(load_config(args.config), "goodset")
-        alpha = sec.get_float("alpha", required=True)
-        beta = sec.get_float("beta", required=True)
-        nu = sec.get_float("nu", required=True)
-        T = sec.get_float("T", 50.0)
-        dt = sec.get_float("dt", 1e-3)
-        n_paths = args.paths or sec.get_int("paths", 1000)
-        seed = args.seed if args.seed is not None else sec.get_int("seed", 0)
-    else:
-        if args.alpha is None or args.beta is None or args.nu is None:
-            raise ConfigError("goodset: provide --config or --alpha/--beta/--nu")
-        alpha, beta, nu = args.alpha, args.beta, args.nu
-        T, dt = args.T, args.dt
-        n_paths = args.paths or 1000
-        seed = args.seed if args.seed is not None else 0
+    if args.alpha is None or args.beta is None or args.nu is None:
+        raise ConfigError("goodset: provide --alpha/--beta/--nu")
+    seed = args.seed if args.seed is not None else 0
     try:
-        params = GoodSetParams(alpha=alpha, beta=beta, nu=nu)
-        est = stochastic.good_set_probability(params, T, dt, n_paths, seed=seed)
+        params = GoodSetParams(alpha=args.alpha, beta=args.beta, nu=args.nu)
+        est = stochastic.good_set_probability(params, args.T, args.dt,
+                                              args.paths or 1000, seed=seed)
     except ValueError as exc:
         raise ConfigError(f"goodset: {exc}") from exc
     record = {"schema": SCHEMA_VERSION, **est.as_dict()}
@@ -455,17 +441,19 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="Stochastic primitive-equations lab")
     sub = ap.add_subparsers(dest="command", required=True)
 
+    config = argparse.ArgumentParser(add_help=False)  # goodset reads flags only
+    config.add_argument("--config", type=str, default=None, help="config file path")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", type=str, default=None, help="config file path")
     common.add_argument("--seed", type=int, default=None, help="seed override")
     common.add_argument("--out", type=str, default=None, help="output directory")
     common.add_argument("--paths", type=int, default=None, help="ensemble size")
     common.add_argument("--quiet", action="store_true", help="suppress progress")
 
-    p = sub.add_parser("simulate", parents=[common], help="run one simulation per seed")
+    p = sub.add_parser("simulate", parents=[config, common],
+                       help="run one simulation per seed")
     p.set_defaults(func=cmd_simulate, needs_config=True)
 
-    p = sub.add_parser("ensemble", parents=[common],
+    p = sub.add_parser("ensemble", parents=[config, common],
                        help="globality ensemble with completed-fraction report")
     p.set_defaults(func=cmd_ensemble, needs_config=True)
 
@@ -477,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float, default=1e-3)
     p.set_defaults(func=cmd_goodset, needs_config=False)
 
-    p = sub.add_parser("verify", parents=[common], help="named probe battery")
+    p = sub.add_parser("verify", parents=[config, common], help="named probe battery")
     p.add_argument("suite", type=str, help=f"one of: {', '.join(VERIFY_SUITES)}")
     p.set_defaults(func=cmd_verify, needs_config=False)
 

@@ -113,18 +113,14 @@ class RadiusSchedule:
         return (4.0 * self.c_sigma / (self.nu ** 2 - 2.0 * self.beta)) \
             * (math.exp(self.alpha) * self.v0_norm + 1.0)
 
-    def base(self, t) -> float:
-        """Radius without the eta offset."""
-        if self.kind == "linear":
-            return self.alpha + self.beta * t
-        if self.kind == "constant":
-            return self.alpha
-        rate = 0.5 * self.nu ** 2 - self.beta
-        return self.phi0 - self._damping_depth() * (1.0 - math.exp(-rate * t))
-
     def value(self, t) -> float:
         """Tracked radius including the eta offset."""
-        return self.base(t) + self.eta
+        if self.kind == "linear":
+            return self.alpha + self.beta * t + self.eta
+        if self.kind == "constant":
+            return self.alpha + self.eta
+        rate = 0.5 * self.nu ** 2 - self.beta
+        return self.phi0 - self._damping_depth() * (1.0 - math.exp(-rate * t)) + self.eta
 
     def limit(self) -> float:
         """Long-time radius (without eta): finite for 'damping' and 'constant',
@@ -155,7 +151,6 @@ class SimConfig:
     horizon: float
     blowup_factor: float = 1e8
     seed: object = 0
-    linear_only: bool = False
 
     def __post_init__(self):
         if self.noise not in NOISE_KINDS:
@@ -207,6 +202,7 @@ class RunRecord:
     gevrey_norm_v: np.ndarray  # NaN where the back-transform is unrecoverable
     status: str
     t_final: float
+    goodset: bool  # nu*W <= alpha + beta*t at every grid point ('none': no barrier)
     seed: object = None
     name: str = ""
 
@@ -223,7 +219,7 @@ class RunRecord:
             "status": self.status,
             "t_final": self.t_final,
             "max_gevrey_norm": self.max_gevrey_norm,
-            "goodset": self.status != STATUS_GOODSET_EXIT,
+            "goodset": self.goodset,
         }
 
 
@@ -263,8 +259,6 @@ def _ifrk4_step(u: SpectralVelocity, t: float, dt: float, path: BrownianPath,
     w = path.value_at(t)
 
     def nonlin(x: SpectralVelocity) -> SpectralVelocity:
-        if cfg.linear_only:
-            return SpectralVelocity.zeros(u.N)
         return -twisted_transport(x, cfg.nu, w, s)
 
     def E(x: SpectralVelocity) -> SpectralVelocity:
@@ -334,7 +328,8 @@ def run(u0: SpectralVelocity, cfg: SimConfig, path: BrownianPath | None = None,
     Status rules: 'blowup' when the tracked norm exceeds blowup_factor times
     its initial value (or turns non-finite), 'radius_exhausted' when the
     tracked radius reaches zero, 'goodset_exit' when the noise exponent
-    crosses the base radius (diffusion) or overflows the exponent cap.
+    overflows the exponent cap or crosses alpha + beta*t (diffusion; damping
+    only records the crossing in ``goodset``, as exp(nu*W) stays finite).
     Raises ``TruncationMismatchError`` when ``u0.N != cfg.n_modes``.
     """
     if u0.N != cfg.n_modes:
@@ -348,6 +343,10 @@ def run(u0: SpectralVelocity, cfg: SimConfig, path: BrownianPath | None = None,
     times = path.times
     if path.horizon < cfg.horizon - 1e-12:
         raise ValueError("path horizon shorter than the configured horizon")
+
+    exit_k = None if cfg.noise == "none" else stochastic.first_exit(
+        cfg.nu * path.values, cfg.radius.alpha + cfg.radius.beta * times)
+    stop_k = exit_k if cfg.noise == "diffusion" else None
 
     u = spectral.project_constraints(u0)
     stride = max(1, int(round(cfg.horizon / (1000.0 * cfg.dt))))
@@ -391,7 +390,7 @@ def run(u0: SpectralVelocity, cfg: SimConfig, path: BrownianPath | None = None,
         if cfg.radius.value(t0) <= 0.0:
             status, t_final = STATUS_RADIUS_EXHAUSTED, t0
             break
-        if cfg.noise == "diffusion" and cfg.nu * path.values[k] > cfg.radius.base(t0):
+        if k == stop_k:
             status, t_final = STATUS_GOODSET_EXIT, t0
             break
         try:
@@ -422,6 +421,7 @@ def run(u0: SpectralVelocity, cfg: SimConfig, path: BrownianPath | None = None,
         gevrey_norm_v=np.asarray(rec_gv),
         status=status,
         t_final=t_final,
+        goodset=exit_k is None,
         seed=path.seed if path.seed is not None else cfg.seed,
         name=name,
     )

@@ -112,9 +112,6 @@ def duhamel_map(trajectory: list, prob: MildProblem, path: BrownianPath) -> list
     # every entry alive during the call, so an id names one input
     transports: dict = {}
     for j, t in enumerate(times):
-        if cfg.linear_only:
-            integrand.append(zeros)
-            continue
         w = path.value_at(float(t))
         key = (id(trajectory[j]), w)
         if key not in transports:

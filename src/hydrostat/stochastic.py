@@ -21,6 +21,7 @@ __all__ = [
     "GoodSetEstimate",
     "path_seed",
     "sample_path",
+    "first_exit",
     "good_set_indicator",
     "good_set_probability",
     "survival_paper_bound",
@@ -61,7 +62,7 @@ class BrownianPath:
 
 @dataclass(frozen=True)
 class GoodSetParams:
-    """Barrier parameters: survival means alpha + beta*t - nu*W(t) >= 0."""
+    """Barrier parameters: a path leaves the good set where nu*W(t) > alpha + beta*t."""
 
     alpha: float
     beta: float
@@ -100,19 +101,26 @@ def sample_path(T: float, dt: float, seed) -> BrownianPath:
     return BrownianPath(times=times, values=values, seed=seed, dt=dt)
 
 
+def first_exit(nu_w: np.ndarray, levels: np.ndarray) -> int | None:
+    """First grid index where ``nu_w`` (nu*W) exceeds ``levels`` (alpha + beta*t),
+    or None: the one good-set barrier test."""
+    above = nu_w > levels
+    i = int(np.argmax(above))
+    return i if above[i] else None
+
+
 def good_set_indicator(path: BrownianPath, p: GoodSetParams):
-    """Grid-level survival check of alpha + beta*t - nu*W(t) >= 0.
+    """Grid-level survival check of nu*W(t) <= alpha + beta*t.
 
     Returns ``(survived, first_violation_time)``; the time is None when the
     path survives.  Excursions between grid points are invisible to this
     check, which therefore over-estimates survival (quantified by the exact
     infinite-horizon value in :func:`good_set_probability`).
     """
-    margin = p.alpha + p.beta * path.times - p.nu * path.values
-    bad = np.nonzero(margin < 0.0)[0]
-    if bad.size == 0:
+    i = first_exit(p.nu * path.values, p.alpha + p.beta * path.times)
+    if i is None:
         return True, None
-    return False, float(path.times[bad[0]])
+    return False, float(path.times[i])
 
 
 def survival_paper_bound(p: GoodSetParams) -> float:
@@ -182,13 +190,13 @@ def good_set_probability(p: GoodSetParams, T: float, dt: float, n_paths: int,
     if n_paths < 100:
         raise ValueError(f"need at least 100 paths, got {n_paths}")
     times = _time_grid(T, dt)
-    sqrt_diffs = np.sqrt(np.diff(times))
-    barrier = (p.alpha + p.beta * times[1:]) / p.nu
+    nu_sqrt_diffs = p.nu * np.sqrt(np.diff(times))
+    levels = p.alpha + p.beta * times[1:]
     survived = 0
     for i in range(n_paths):
         rng = np.random.default_rng(path_seed(seed, i))
-        w = np.cumsum(rng.standard_normal(len(sqrt_diffs)) * sqrt_diffs)
-        if not np.any(w > barrier):
+        nu_w = np.cumsum(rng.standard_normal(len(nu_sqrt_diffs)) * nu_sqrt_diffs)
+        if first_exit(nu_w, levels) is None:
             survived += 1
     p_hat, half = binomial_ci(survived, n_paths)
     return GoodSetEstimate(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hydrostat import analysis, spectral
+from hydrostat import analysis, dynamics, spectral
 
 
 @pytest.fixture(scope="session")
@@ -28,6 +28,14 @@ def transport_calls(monkeypatch):
 
     monkeypatch.setattr(spectral, "transport_bilinear", counted)
     return calls
+
+
+@pytest.fixture
+def no_transport(monkeypatch):
+    """Twisted transport replaced by zeros: the steppers and the mild map
+    keep only their exact linear factors."""
+    monkeypatch.setattr(dynamics, "twisted_transport",
+                        lambda u, nu, w, s: spectral.SpectralVelocity.zeros(u.N))
 
 
 @pytest.fixture

@@ -95,7 +95,7 @@ def test_criterion_04_exponent_boundary():
            f"verdicts {dict(zip(grid, verdicts))}, oracle agreement {agree}")
 
 
-def test_criterion_05_linear_exactness():
+def test_criterion_05_linear_exactness(no_transport):
     N = 6
     n_steps = 1000
     dt = 1e-3
@@ -107,7 +107,7 @@ def test_criterion_05_linear_exactness():
 
     cfg_d = SimConfig(noise="diffusion", nu=2.0, s=1.0, sigma=1.9,
                       radius=RadiusSchedule.linear(0.3, 0.1), n_modes=N,
-                      dt=dt, horizon=n_steps * dt, linear_only=True)
+                      dt=dt, horizon=n_steps * dt)
     u = v0
     for k in range(n_steps):
         u = dynamics.step_diffusion(u, k * dt, dt, path, cfg_d)
@@ -117,7 +117,7 @@ def test_criterion_05_linear_exactness():
 
     cfg_k = SimConfig(noise="damping", nu=3.0, s=0.0, sigma=2.6,
                       radius=RadiusSchedule.constant(0.5), n_modes=N,
-                      dt=dt, horizon=n_steps * dt, linear_only=True)
+                      dt=dt, horizon=n_steps * dt)
     u = v0
     for k in range(n_steps):
         u = dynamics.step_damping(u, k * dt, dt, path, cfg_k)

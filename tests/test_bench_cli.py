@@ -288,25 +288,28 @@ dir = {outdir}
 
     def test_goodset_fraction_matches_stochastic_module(self, tmp_path):
         # ignoring the PDE outcome, the per-run goodset flags reproduce the
-        # direct survival estimate path by path
+        # direct survival estimate path by path; at nu = 6, epsilon = 0.9
+        # about half of the damping paths leave the good set
         from hydrostat import stochastic as st
         from hydrostat.stochastic import GoodSetParams
 
-        cfg_path = write_config(tmp_path, self.ENSEMBLE_CONFIG.format(
-            c_sigma="0.001", paths=30, outdir=tmp_path))
-        res = run_cli(["ensemble", "--config", cfg_path, "--quiet"])
-        assert res.returncode == 0, res.stderr
-        report = json.loads((tmp_path / "ens_ensemble.json").read_text())
-        alpha, beta, nu = report["alpha"], report["beta"], report["nu"]
-        params = GoodSetParams(alpha, beta, nu)
-        expected = []
-        for i in range(30):
-            p = st.sample_path(0.05, 5e-3, st.path_seed(2, i))
-            expected.append(st.good_set_indicator(p, params)[0])
-        runs = [json.loads(l) for l in
-                (tmp_path / "ens_runs.jsonl").read_text().strip().splitlines()]
-        got = [r["goodset"] for r in runs]
-        assert got == expected
+        base = self.ENSEMBLE_CONFIG.format(c_sigma="0.001", paths=30, outdir=tmp_path)
+        strong = base.replace("nu = 1.5", "nu = 6.0").replace("epsilon = 0.5",
+                                                              "epsilon = 0.9")
+        for i_cfg, text in enumerate((base, strong)):
+            cfg_path = write_config(tmp_path, text, f"cfg{i_cfg}.ini")
+            res = run_cli(["ensemble", "--config", cfg_path, "--quiet"])
+            assert res.returncode == 0, res.stderr
+            report = json.loads((tmp_path / "ens_ensemble.json").read_text())
+            params = GoodSetParams(report["alpha"], report["beta"], report["nu"])
+            expected = []
+            for i in range(30):
+                p = st.sample_path(0.05, 5e-3, st.path_seed(2, i))
+                expected.append(st.good_set_indicator(p, params)[0])
+            runs = [json.loads(l) for l in
+                    (tmp_path / "ens_runs.jsonl").read_text().strip().splitlines()]
+            got = [r["goodset"] for r in runs]
+            assert got == expected, text
 
     # The diffusion half of the criterion-08 pair as the `ensemble` benchmark
     # runs it: N=4 at radius alpha + eta = 3.05, so phi*|k|_max ~ 133 and
@@ -408,6 +411,15 @@ class TestGoodsetCommand:
     def test_invalid_params(self):
         res = run_cli(["goodset", "--alpha", "-1", "--beta", "1", "--nu", "1"])
         assert res.returncode == bench_cli.EXIT_CONFIG
+
+    def test_config_flag_refused(self, tmp_path):
+        # goodset reads flags only; a config file is refused, not ignored
+        cfg = write_config(tmp_path, "[goodset]\nalpha = 2\n")
+        res = run_cli(["goodset", "--config", cfg, "--alpha", "2", "--beta", "0.5",
+                       "--nu", "1", "--T", "1", "--dt", "0.01", "--paths", "100"])
+        assert res.returncode == bench_cli.EXIT_CONFIG
+        assert "unrecognized arguments: --config" in res.stderr
+        assert res.stdout == ""
 
     @pytest.mark.parametrize("flags", [["--dt", "0"], ["--dt", "-0.01"],
                                        ["--T", "-1"], ["--T", "inf"], ["--T", "0"]],

@@ -65,7 +65,7 @@ class TestRadiusSchedule:
     def test_eta_offset(self):
         sched = RadiusSchedule.linear(1.0, 2.0, eta=0.25)
         assert sched.value(0.0) == pytest.approx(1.25)
-        assert sched.base(0.0) == pytest.approx(1.0)
+        assert sched.value(0.0) - sched.eta == pytest.approx(1.0)
 
 
 class TestSimConfigValidation:
@@ -114,10 +114,10 @@ class TestSteppers:
         out = dy.step_damping(SpectralVelocity.zeros(4), 0.0, cfgd.dt, path, cfgd)
         assert np.abs(out.coeffs).max() == 0.0
 
-    def test_linear_exactness_diffusion(self):
+    def test_linear_exactness_diffusion(self, no_transport):
         N = 6
         u0 = small_two_mode(N)
-        cfg = diffusion_cfg(N=N, linear_only=True)
+        cfg = diffusion_cfg(N=N)
         path = stochastic.sample_path(cfg.horizon, cfg.dt, 1)
         u = u0
         for k in range(20):
@@ -127,10 +127,10 @@ class TestSteppers:
         np.testing.assert_allclose(u.coeffs, expect, rtol=0,
                                    atol=1e-13 * np.abs(expect).max())
 
-    def test_linear_exactness_damping(self):
+    def test_linear_exactness_damping(self, no_transport):
         N = 6
         u0 = small_two_mode(N)
-        cfg = damping_cfg(N=N, linear_only=True)
+        cfg = damping_cfg(N=N)
         path = stochastic.sample_path(cfg.horizon, cfg.dt, 1)
         u = u0
         for k in range(20):
@@ -239,6 +239,30 @@ class TestRun:
         margin = 2.0 * values - (0.5 + 0.05 * times)
         expect_t = times[np.nonzero(margin > 0)[0][0]]
         assert rec.t_final == pytest.approx(expect_t)
+        assert rec.summary()["goodset"] is False
+
+    @pytest.mark.parametrize("noise, values, goodset", [
+        # damping records the crossing and runs on: exp(nu*W) stays finite
+        ("damping", np.linspace(0.0, 2.0, 11), False),
+        # a crossing at the last grid point leaves no step to stop
+        ("diffusion", np.append(np.zeros(10), 1.0), False),
+        # the deterministic baseline has no barrier
+        ("none", np.linspace(0.0, 2.0, 11), True),
+    ], ids=["damping-crosses", "diffusion-crosses-at-end", "none"])
+    def test_goodset_verdict_on_crafted_path(self, noise, values, goodset):
+        # barrier 0.5 + 0.05*t; nu = 2 (0 for the baseline)
+        N, dt = 4, 0.01
+        times = dt * np.arange(11)
+        path = BrownianPath(times=times, values=values, seed=None, dt=dt)
+        s, sigma, nu = {"damping": (0.0, 2.6, 2.0), "diffusion": (1.0, 1.9, 2.0),
+                        "none": (0.0, 2.6, 0.0)}[noise]
+        cfg = SimConfig(noise=noise, nu=nu, s=s, sigma=sigma,
+                        radius=RadiusSchedule.linear(0.5, 0.05), n_modes=N,
+                        dt=dt, horizon=0.1)
+        rec = dy.run(small_two_mode(N, amplitude=1e-3), cfg, path)
+        assert rec.status == "completed"
+        assert rec.t_final == pytest.approx(0.1)
+        assert rec.summary()["goodset"] is goodset
 
     def test_damping_exits_at_exponent_cap(self):
         # the scalar (s = 0) twisted transport checks the cap up front:

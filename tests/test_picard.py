@@ -13,10 +13,10 @@ from hydrostat.picard import MildProblem, PicardDivergenceError
 from hydrostat.spectral import SpectralVelocity
 
 
-def make_cfg(N=8, nu=2.0, alpha=0.2, beta=0.5, linear_only=False):
+def make_cfg(N=8, nu=2.0, alpha=0.2, beta=0.5):
     return SimConfig(noise="diffusion", nu=nu, s=1.0, sigma=1.9,
                      radius=RadiusSchedule.linear(alpha, beta), n_modes=N,
-                     dt=1e-3, horizon=0.05, linear_only=linear_only)
+                     dt=1e-3, horizon=0.05)
 
 
 def small_data(N=8, target=1e-2, alpha=0.2, seed=11):
@@ -33,11 +33,11 @@ class TestDuhamelMap:
         out = picard.duhamel_map(traj, prob, path)
         np.testing.assert_allclose(out[0].coeffs, u0.coeffs, atol=1e-16)
 
-    def test_linear_only_heat_semigroup(self):
+    def test_linear_only_heat_semigroup(self, no_transport):
         # transport disabled: the map returns the heat-propagated data
         # independently of the trajectory argument
         u0 = small_data()
-        cfg = make_cfg(linear_only=True)
+        cfg = make_cfg()
         prob = MildProblem(u0=u0, cfg=cfg, horizon=0.05, n_nodes=9)
         path = dy._zero_path(0.05, 1e-3)
         junk = [2.0 * u0.copy() for _ in prob.times]

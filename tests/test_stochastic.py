@@ -133,11 +133,14 @@ class TestGoodSetProbability:
 
     def test_benchmark_control_counts(self):
         # the goodset benchmark workload's estimator: survivor counts of the
-        # first op seeds are pinned, so a change that moves them shows here
-        params = GoodSetParams(2.0, 0.5, 1.0)
-        got = [st.good_set_probability(params, 50.0, 1e-3, 200, seed=s).n_survived
-               for s in range(3)]
-        assert got == [179, 173, 173]
+        # first op seeds are pinned, so a change that moves them shows here;
+        # the nu != 1 row pins where nu enters the barrier comparison
+        for params, T, n_paths, counts in [
+                (GoodSetParams(2.0, 0.5, 1.0), 50.0, 200, [179, 173, 173]),
+                (GoodSetParams(1.3, 0.7, 1.7), 5.0, 300, [150, 170, 156])]:
+            got = [st.good_set_probability(params, T, 1e-3, n_paths, seed=s).n_survived
+                   for s in range(3)]
+            assert got == counts, params
 
     def test_seed_determinism_and_order_independence(self):
         params = GoodSetParams(1.5, 0.5, 1.0)
