@@ -2,14 +2,16 @@
 
 Subcommands: ``simulate`` (single runs, one per configured seed),
 ``ensemble`` (high-probability globality experiment), ``goodset``
-(survival-probability estimate), and ``verify`` (named probe batteries).
+(survival-probability estimate, flags only), and ``verify`` (named probe
+batteries); each takes only the flags it reads.
 
 Config files use a flat ``key = value`` grammar with ``[section]`` headers
-and ``#`` comments.  Outputs are a fixed-column CSV time series per run and
-JSON-lines summaries; identical config and seed reproduce byte-identical
-files.  Ensemble members run one after another in path-index order.  A bad
-config or argument (including a non-positive or non-finite horizon or step)
-exits with code 2 and a ``config error:`` message.
+and ``#`` comments; ``CONFIG_KEYS`` names every accepted section and key.
+Outputs are a fixed-column CSV time series per run and JSON-lines
+summaries; identical config and seed reproduce byte-identical files.
+Ensemble members run one after another in path-index order.  A bad config
+or argument (an unknown section, key or flag, or a bad value such as a
+non-finite step) exits with code 2.
 """
 
 from __future__ import annotations
@@ -45,9 +47,6 @@ STATUS_EXIT_CODES = {
     dynamics.STATUS_GOODSET_EXIT: EXIT_GOODSET,
 }
 
-VERIFY_SUITES = ("cancellation", "exponents", "lemma-a1", "nonlinear-estimate",
-                 "picard-consistency", "kernel-bound")
-
 
 class ConfigError(ValueError):
     """Invalid configuration; message carries the offending section.key."""
@@ -55,39 +54,62 @@ class ConfigError(ValueError):
 
 # ---------------------------------------------------------------- config ---
 
-class _Section:
-    """Typed accessor for one config section with section.key error messages."""
+def _int(text: str) -> int:
+    return int(text, 0)
 
-    def __init__(self, parser: configparser.ConfigParser, name: str):
+
+def _ints(text: str) -> tuple:
+    return tuple(int(x) for x in text.split())
+
+
+def _number_or_estimate(text: str):
+    """A float, or ``estimate``, which `_resolve` replaces by an estimate."""
+    return text if text == "estimate" else float(text)
+
+
+def _resolve(value, estimator, *args):
+    """``value``, or the estimate at fixed sampling when it reads ``estimate``."""
+    if value != "estimate":
+        return value
+    return estimator(*args, N=8, n_samples=64, seed=2026).value
+
+
+# Every config key some command reads, with its value parser (README: "Config
+# reference").  `[initial_data]` keys other than `family` and `normalize_*`
+# go to `initial_data.make_initial_data`, which owns their defaults.
+CONFIG_KEYS = {
+    "experiment": {"name": str},
+    "output": {"dir": str},
+    "sim": {"noise": str, "nu": float, "s": float, "sigma": float, "N": _int,
+            "dt": float, "T": float, "seed": _int, "seeds": _ints,
+            "blowup_factor": float, "radius_kind": str, "alpha": float,
+            "beta": float, "eta": float, "phi0": float,
+            "c_sigma": _number_or_estimate},
+    "initial_data": {"family": str, "amplitude": float, "seed": _int,
+                     "sigma": float, "s": float, "radius": float, "poly": float,
+                     "mode": _ints, "mode_b": _ints, "ratio": float,
+                     "component": _int, "component_b": _int,
+                     "normalize_target": float, "normalize_sigma": float,
+                     "normalize_s": float, "normalize_phi": float},
+    "ensemble": {"epsilon": float, "paths": _int, "c_star": _number_or_estimate},
+}
+
+
+class _Section(dict):
+    """Parsed entries of one section; a key the file lacks is required."""
+
+    def __init__(self, name: str):
+        super().__init__()
         self.name = name
-        self.raw = dict(parser[name]) if parser.has_section(name) else {}
 
-    def _get(self, key, default, conv, required):
-        if key not in self.raw:
-            if required:
-                raise ConfigError(f"{self.name}.{key}: required key is missing")
-            return default
-        text = self.raw[key]
-        try:
-            return conv(text)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{self.name}.{key}: {exc}") from exc
-
-    def get_float(self, key, default=None, required=False) -> float:
-        return self._get(key, default, float, required)
-
-    def get_int(self, key, default=None, required=False) -> int:
-        return self._get(key, default, lambda t: int(t, 0), required)
-
-    def get_str(self, key, default=None, required=False) -> str:
-        return self._get(key, default, str, required)
-
-    def get_ints(self, key, default=None, required=False):
-        return self._get(key, default, lambda t: tuple(int(x) for x in t.split()),
-                         required)
+    def __missing__(self, key):
+        raise ConfigError(f"{self.name}.{key}: required key is missing")
 
 
-def load_config(path) -> configparser.ConfigParser:
+def load_config(path) -> dict[str, _Section]:
+    """One dict per ``CONFIG_KEYS`` section (empty when absent), each entry
+    parsed once.  Unknown sections and keys, and keys under ``[DEFAULT]``,
+    are config errors."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",),
                                        comment_prefixes=("#",))
     parser.optionxform = str  # keys are case-sensitive (N, T, ...)
@@ -98,102 +120,82 @@ def load_config(path) -> configparser.ConfigParser:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    return parser
+    for key in parser.defaults():  # would leak into every section
+        raise ConfigError(f"{parser.default_section}.{key}: unknown key")
+    config = {name: _Section(name) for name in CONFIG_KEYS}
+    for name in parser.sections():
+        if name not in CONFIG_KEYS:
+            raise ConfigError(f"{name}: unknown section")
+        for key in parser.options(name):
+            if key not in CONFIG_KEYS[name]:
+                raise ConfigError(f"{name}.{key}: unknown key")
+            try:
+                config[name][key] = CONFIG_KEYS[name][key](parser.get(name, key))
+            except (configparser.Error, ValueError) as exc:
+                raise ConfigError(f"{name}.{key}: {exc}") from exc
+    return config
 
 
-def _build_radius(sec: _Section, nu: float, v0_norm: float,
+def _build_radius(sim: _Section, nu: float, v0_norm: float,
                   c_sigma: float | None) -> RadiusSchedule:
-    kind = sec.get_str("radius_kind", "constant")
-    eta = sec.get_float("eta", 0.0)
+    kind = sim.get("radius_kind", "constant")
+    eta = sim.get("eta", 0.0)
     if kind == "linear":
-        return RadiusSchedule.linear(sec.get_float("alpha", required=True),
-                                     sec.get_float("beta", required=True), eta=eta)
+        return RadiusSchedule.linear(sim["alpha"], sim["beta"], eta=eta)
     if kind == "constant":
-        return RadiusSchedule.constant(sec.get_float("alpha", required=True), eta=eta)
+        return RadiusSchedule.constant(sim["alpha"], eta=eta)
     if kind == "damping":
         if c_sigma is None:
             raise ConfigError("sim.c_sigma: required for the damping radius schedule")
         return RadiusSchedule.damping(
-            phi0=sec.get_float("phi0", required=True),
-            alpha=sec.get_float("alpha", required=True),
-            beta=sec.get_float("beta", required=True),
+            phi0=sim["phi0"], alpha=sim["alpha"], beta=sim["beta"],
             nu=nu, c_sigma=c_sigma, v0_norm=v0_norm, eta=eta)
     raise ConfigError(f"sim.radius_kind: unknown kind {kind!r}")
 
 
-def _number_or_estimate(sec: _Section, key: str, estimate) -> float | None:
-    """``key`` as a number, or ``estimate().value`` when it reads ``estimate``;
-    None when the key is absent."""
-    text = sec.get_str(key, None)
-    if text is not None and text.strip() == "estimate":
-        return estimate().value
-    return sec.get_float(key, None)
-
-
-def _build_initial_data(parser: configparser.ConfigParser, N: int):
-    sec = _Section(parser, "initial_data")
-    family = sec.get_str("family", "zero")
+def _build_initial_data(section: _Section, N: int):
+    family = section.get("family", "zero")
     if family not in initial_data.FAMILIES:
         raise ConfigError(f"initial_data.family: unknown family {family!r}")
+    shape = {key: value for key, value in section.items()
+             if key != "family" and not key.startswith("normalize_")}
     try:
-        return _make_initial_data(sec, family, N)
+        u0 = initial_data.make_initial_data(family, N, **shape)
+        target = section.get("normalize_target")
+        if target is not None:
+            params = GevreyParams(section["normalize_sigma"],
+                                  section.get("normalize_s", 1.0),
+                                  section.get("normalize_phi", 0.0))
+            u0 = initial_data.normalize_to(u0, target, params)
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(f"initial_data: {exc}") from exc
-
-
-def _make_initial_data(sec: _Section, family: str, N: int):
-    u0 = initial_data.make_initial_data(
-        family, N,
-        amplitude=sec.get_float("amplitude", 1.0),
-        seed=sec.get_int("seed", 0),
-        sigma=sec.get_float("sigma", 2.0),
-        s=sec.get_float("s", 1.0),
-        radius=sec.get_float("radius", 0.3),
-        poly=sec.get_float("poly", 1.0),
-        mode=sec.get_ints("mode", (1, 0, 1)),
-        mode_b=sec.get_ints("mode_b", (0, 1, 1)),
-        ratio=sec.get_float("ratio", 1.0),
-        component=sec.get_int("component", 0),
-        component_b=sec.get_int("component_b", 1),
-    )
-    target = sec.get_float("normalize_target", None)
-    if target is not None:
-        params = GevreyParams(sec.get_float("normalize_sigma", required=True),
-                              sec.get_float("normalize_s", 1.0),
-                              sec.get_float("normalize_phi", 0.0))
-        u0 = initial_data.normalize_to(u0, target, params)
     return u0
 
 
-def build_sim(parser: configparser.ConfigParser, seed_override=None):
+def build_sim(config: dict[str, _Section], seed_override=None):
     """SimConfig, initial data and the resolved ``sim.c_sigma`` (None when
-    unset) from a parsed config.  ``c_sigma = estimate`` runs the estimator
+    unset) from a loaded config.  ``c_sigma = estimate`` runs the estimator
     here, once."""
-    sec = _Section(parser, "sim")
-    noise = sec.get_str("noise", required=True)
-    nu = sec.get_float("nu", required=True)
-    sigma = sec.get_float("sigma", required=True)
-    N = sec.get_int("N", required=True)
-    u0 = _build_initial_data(parser, N)
-    c_sigma = _number_or_estimate(sec, "c_sigma", lambda: analysis.estimate_c_sigma(
-        sigma, N=8, n_samples=64, seed=2026))
+    sim = config["sim"]
+    noise, nu, sigma, N = sim["noise"], sim["nu"], sim["sigma"], sim["N"]
+    u0 = _build_initial_data(config["initial_data"], N)
+    c_sigma = _resolve(sim.get("c_sigma"), analysis.estimate_c_sigma, sigma)
     try:
-        v0_norm = gevrey.norm(u0, "Gevrey",
-                              GevreyParams(sigma, 1.0, sec.get_float("phi0", 0.0)))
-        radius = _build_radius(sec, nu, v0_norm, c_sigma)
+        v0_norm = gevrey.norm(u0, "Gevrey", GevreyParams(sigma, 1.0, sim.get("phi0", 0.0)))
+        radius = _build_radius(sim, nu, v0_norm, c_sigma)
         cfg = SimConfig(
             noise=noise,
             nu=nu,
-            s=sec.get_float("s", required=True),
+            s=sim["s"],
             sigma=sigma,
             radius=radius,
             n_modes=N,
-            dt=sec.get_float("dt", required=True),
-            horizon=sec.get_float("T", required=True),
-            blowup_factor=sec.get_float("blowup_factor", 1e8),
-            seed=seed_override if seed_override is not None else sec.get_int("seed", 0),
+            dt=sim["dt"],
+            horizon=sim["T"],
+            blowup_factor=sim.get("blowup_factor", 1e8),
+            seed=seed_override if seed_override is not None else sim.get("seed", 0),
         )
     except ConfigError:
         raise
@@ -239,16 +241,16 @@ def summary_line(record: RunRecord) -> str:
 # ----------------------------------------------------------- subcommands ---
 
 def cmd_simulate(args) -> int:
-    parser = load_config(args.config)
-    sec = _Section(parser, "sim")
-    name = _Section(parser, "experiment").get_str("name", "run")
+    config = load_config(args.config)
+    sim = config["sim"]
+    name = config["experiment"].get("name", "run")
     seeds = [args.seed] if args.seed is not None else \
-        list(sec.get_ints("seeds", None) or [sec.get_int("seed", 0)])
-    out = _ensure_outdir(args.out or _Section(parser, "output").get_str("dir", "out"))
+        list(sim.get("seeds") or [sim.get("seed", 0)])
+    out = _ensure_outdir(args.out or config["output"].get("dir", "out"))
 
     worst = EXIT_OK
     summaries = []
-    base_cfg, u0, _ = build_sim(parser, seed_override=seeds[0])
+    base_cfg, u0, _ = build_sim(config, seed_override=seeds[0])
     # `ensemble` replaces the radius, so only `simulate` runs on this beta
     radius = base_cfg.radius
     if base_cfg.noise == "diffusion" and radius.kind == "linear" \
@@ -268,18 +270,18 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_ensemble(args) -> int:
-    parser = load_config(args.config)
-    ens = _Section(parser, "ensemble")
-    name = _Section(parser, "experiment").get_str("name", "ensemble")
-    epsilon = ens.get_float("epsilon", required=True)
-    n_paths = args.paths or ens.get_int("paths", required=True)
+    config = load_config(args.config)
+    ens = config["ensemble"]
+    name = config["experiment"].get("name", "ensemble")
+    epsilon = ens["epsilon"]
+    n_paths = ens["paths"] if args.paths is None else args.paths
     if n_paths < 1:
-        raise ConfigError("ensemble.paths: must be at least 1")
-    out = _ensure_outdir(args.out or _Section(parser, "output").get_str("dir", "out"))
+        raise ConfigError(f"{'ensemble.paths' if args.paths is None else '--paths'}: "
+                          "must be at least 1")
+    out = _ensure_outdir(args.out or config["output"].get("dir", "out"))
 
-    cfg, u0, c_sigma = build_sim(parser, seed_override=args.seed)
-    c_star = _number_or_estimate(ens, "c_star", lambda: analysis.estimate_c_star(
-        cfg.sigma, cfg.s, N=8, n_samples=64, seed=2026))
+    cfg, u0, c_sigma = build_sim(config, seed_override=args.seed)
+    c_star = _resolve(ens.get("c_star"), analysis.estimate_c_star, cfg.sigma, cfg.s)
     try:
         result = dynamics.run_global_experiment(
             u0, epsilon, cfg, n_paths, seed=cfg.seed,
@@ -309,13 +311,10 @@ def cmd_ensemble(args) -> int:
 
 
 def cmd_goodset(args) -> int:
-    if args.alpha is None or args.beta is None or args.nu is None:
-        raise ConfigError("goodset: provide --alpha/--beta/--nu")
-    seed = args.seed if args.seed is not None else 0
     try:
         params = GoodSetParams(alpha=args.alpha, beta=args.beta, nu=args.nu)
         est = stochastic.good_set_probability(params, args.T, args.dt,
-                                              args.paths or 1000, seed=seed)
+                                              args.paths, seed=args.seed)
     except ValueError as exc:
         raise ConfigError(f"goodset: {exc}") from exc
     record = {"schema": SCHEMA_VERSION, **est.as_dict()}
@@ -422,13 +421,11 @@ VERIFY_IMPL = {
     "picard-consistency": _verify_picard,
     "kernel-bound": _verify_kernel_bound,
 }
+VERIFY_SUITES = tuple(VERIFY_IMPL)
 
 
 def cmd_verify(args) -> int:
-    if args.suite not in VERIFY_IMPL:
-        raise ConfigError(f"verify: unknown suite {args.suite!r}; "
-                          f"known: {', '.join(VERIFY_SUITES)}")
-    result = VERIFY_IMPL[args.suite](seed=args.seed if args.seed is not None else 0)
+    result = VERIFY_IMPL[args.suite](seed=args.seed)
     payload = {"schema": SCHEMA_VERSION, "suite": args.suite, **result}
     print(json.dumps(payload, sort_keys=True, default=float))
     return EXIT_OK if result["ok"] else 1
@@ -441,33 +438,35 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="Stochastic primitive-equations lab")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    config = argparse.ArgumentParser(add_help=False)  # goodset reads flags only
-    config.add_argument("--config", type=str, default=None, help="config file path")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="seed override")
-    common.add_argument("--out", type=str, default=None, help="output directory")
-    common.add_argument("--paths", type=int, default=None, help="ensemble size")
-    common.add_argument("--quiet", action="store_true", help="suppress progress")
+    config = argparse.ArgumentParser(add_help=False)  # simulate and ensemble
+    config.add_argument("--config", required=True, help="config file path")
+    config.add_argument("--seed", type=int, default=None, help="sim.seed override")
+    config.add_argument("--out", default=None, help="output.dir override")
+    config.add_argument("--quiet", action="store_true", help="suppress progress")
 
-    p = sub.add_parser("simulate", parents=[config, common],
-                       help="run one simulation per seed")
-    p.set_defaults(func=cmd_simulate, needs_config=True)
+    p = sub.add_parser("simulate", parents=[config], help="run one simulation per seed")
+    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("ensemble", parents=[config, common],
+    p = sub.add_parser("ensemble", parents=[config],
                        help="globality ensemble with completed-fraction report")
-    p.set_defaults(func=cmd_ensemble, needs_config=True)
+    p.add_argument("--paths", type=int, default=None, help="ensemble.paths override")
+    p.set_defaults(func=cmd_ensemble)
 
-    p = sub.add_parser("goodset", parents=[common], help="survival probability")
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--nu", type=float, default=None)
+    p = sub.add_parser("goodset", help="survival probability (flags only)")
+    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--beta", type=float, required=True)
+    p.add_argument("--nu", type=float, required=True)
     p.add_argument("--T", type=float, default=50.0)
     p.add_argument("--dt", type=float, default=1e-3)
-    p.set_defaults(func=cmd_goodset, needs_config=False)
+    p.add_argument("--paths", type=int, default=1000, help="number of paths")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", default=None, help="also write goodset.json here")
+    p.set_defaults(func=cmd_goodset)
 
-    p = sub.add_parser("verify", parents=[config, common], help="named probe battery")
-    p.add_argument("suite", type=str, help=f"one of: {', '.join(VERIFY_SUITES)}")
-    p.set_defaults(func=cmd_verify, needs_config=False)
+    p = sub.add_parser("verify", help="named probe battery")
+    p.add_argument("suite", choices=VERIFY_SUITES)
+    p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(func=cmd_verify)
 
     return ap
 
@@ -475,8 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "needs_config", False) and not args.config:
-            raise ConfigError(f"{args.command}: --config is required")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -4,8 +4,10 @@ reproducibility, and the verify batteries."""
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -49,6 +51,87 @@ def write_config(tmp_path, text, name="cfg.ini"):
     p = tmp_path / name
     p.write_text(text)
     return str(p)
+
+
+class TestStrictInputs:
+    @pytest.mark.parametrize("edit,message", [
+        (("[experiment]\n", "[experiment]\nnmae = x\n"), "experiment.nmae: unknown key"),
+        (("[output]\n", "[output]\ndri = out\n"), "output.dri: unknown key"),
+        (("[sim]\n", "[sim]\neat = 0.1\n"), "sim.eat: unknown key"),
+        (("[initial_data]\n", "[initial_data]\namplitud = 2\n"),
+         "initial_data.amplitud: unknown key"),
+        (("[output]\n", "[ensemble]\nepsilom = 0.5\n\n[output]\n"),
+         "ensemble.epsilom: unknown key"),
+        (("[output]\n", "[goodset]\nalpha = 2\n\n[output]\n"), "goodset: unknown section"),
+        (("[experiment]\n", "[DEFAULT]\nalpha = 0.3\n\n[experiment]\n"),
+         "DEFAULT.alpha: unknown key"),
+        (("[sim]\n", "[sim]\nlinear_only = true\n"), "sim.linear_only: unknown key"),
+        (("[initial_data]\n", "[initial_data]\nnormalize_kind = L2\n"),
+         "initial_data.normalize_kind: unknown key"),
+    ], ids=["experiment", "output", "sim", "initial_data", "ensemble", "section",
+            "default", "linear_only", "normalize_kind"])
+    def test_unknown_input_is_config_error(self, tmp_path, capsys, edit, message):
+        text = BASE_CONFIG.format(name="strict", family="two_mode", amplitude="0.01",
+                                  outdir=tmp_path / "out")
+        cfg = write_config(tmp_path, text.replace(*edit))
+        assert bench_cli.main(["simulate", "--config", cfg, "--quiet"]) \
+            == bench_cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert list(tmp_path.iterdir()) == [tmp_path / "cfg.ini"]
+
+    # each subcommand refuses the flags it does not read; goodset reads flags only
+    @pytest.mark.parametrize("argv,flag", [
+        ("goodset --alpha 2 --beta 0.5 --nu 1 --T 1 --dt 0.01 --paths 100",
+         "--config CFG"),
+        ("verify exponents", "--config x"),
+        ("verify exponents", "--out x"),
+        ("verify exponents", "--paths 5"),
+        ("verify exponents", "--quiet"),
+        ("simulate --config CFG", "--paths 5"),
+        ("goodset --alpha 2 --beta 0.5 --nu 1", "--quiet"),
+    ], ids=["goodset-config", "verify-config", "verify-out", "verify-paths",
+            "verify-quiet", "simulate-paths", "goodset-quiet"])
+    def test_unread_flag_refused(self, tmp_path, capsys, argv, flag):
+        cfg = write_config(tmp_path, BASE_CONFIG.format(
+            name="flag", family="zero", amplitude="1.0", outdir=tmp_path / "out"))
+        argv, flag = (text.replace("CFG", cfg) for text in (argv, flag))
+        with pytest.raises(SystemExit) as exc:
+            bench_cli.main(f"{argv} {flag}".split())
+        assert exc.value.code == bench_cli.EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert f"unrecognized arguments: {flag}\n" in err
+        assert out == "" and list(tmp_path.iterdir()) == [tmp_path / "cfg.ini"]
+
+    @pytest.mark.parametrize("command", ["goodset", "ensemble"])
+    @pytest.mark.parametrize("paths", ["0", "-3"])
+    def test_non_positive_paths_flag_is_config_error(self, tmp_path, capsys,
+                                                     command, paths):
+        if command == "goodset":
+            argv = ["goodset", "--alpha", "2", "--beta", "0.5", "--nu", "1",
+                    "--T", "1", "--dt", "0.01", "--out", str(tmp_path / "out")]
+            message = f"goodset: need at least 100 paths, got {paths}"
+        else:
+            cfg = write_config(tmp_path, TestEnsemble.ENSEMBLE_CONFIG.format(
+                c_sigma="0.001", paths=4, outdir=tmp_path / "out"))
+            argv = ["ensemble", "--config", cfg, "--quiet"]
+            message = "--paths: must be at least 1"
+        assert bench_cli.main(argv + ["--paths", paths]) == bench_cli.EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert err == f"config error: {message}\n" and out == ""
+        assert not (tmp_path / "out").exists()
+
+    README = Path(__file__).resolve().parent.parent / "README.md"
+
+    def test_readme_config_reference_matches_table(self, tmp_path):
+        readme = self.README.read_text()
+        documented = re.findall(r"^\| `(\w+)\.(\w+)` \|", readme, re.MULTILINE)
+        assert len(documented) == len(set(documented))
+        assert set(documented) == {(section, key) for section, keys
+                                   in bench_cli.CONFIG_KEYS.items() for key in keys}
+        example = re.search(r"```ini\n(.*?)```", readme, re.DOTALL).group(1)
+        cfg, u0, _ = bench_cli.build_sim(
+            bench_cli.load_config(write_config(tmp_path, example)))
+        assert cfg.radius.kind == "linear" and u0.N == cfg.n_modes
 
 
 class TestSimulate:
@@ -96,7 +179,6 @@ class TestSimulate:
         text = text.replace("T = 0.02", "T = 2.0").replace("N = 4", "N = 6")
         text = text.replace("[initial_data]",
                             "blowup_factor = 50\n\n[initial_data]")
-        text += "mode = 0 0 1\nmode_b = 1 0 1\ncomponent_b = 0\nratio = 0.5\n"
         cfg = write_config(tmp_path, text)
         res = run_cli(["simulate", "--config", cfg, "--quiet"])
         assert res.returncode == bench_cli.EXIT_BLOWUP
@@ -411,15 +493,6 @@ class TestGoodsetCommand:
     def test_invalid_params(self):
         res = run_cli(["goodset", "--alpha", "-1", "--beta", "1", "--nu", "1"])
         assert res.returncode == bench_cli.EXIT_CONFIG
-
-    def test_config_flag_refused(self, tmp_path):
-        # goodset reads flags only; a config file is refused, not ignored
-        cfg = write_config(tmp_path, "[goodset]\nalpha = 2\n")
-        res = run_cli(["goodset", "--config", cfg, "--alpha", "2", "--beta", "0.5",
-                       "--nu", "1", "--T", "1", "--dt", "0.01", "--paths", "100"])
-        assert res.returncode == bench_cli.EXIT_CONFIG
-        assert "unrecognized arguments: --config" in res.stderr
-        assert res.stdout == ""
 
     @pytest.mark.parametrize("flags", [["--dt", "0"], ["--dt", "-0.01"],
                                        ["--T", "-1"], ["--T", "inf"], ["--T", "0"]],
