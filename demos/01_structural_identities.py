@@ -32,7 +32,7 @@ print(f"  divergence compatibility  : {resid:.2e}")
 print(f"  vertical velocity parity  : {w.parity}")
 
 # the transport term sees a real velocity field: energy flux cancels
-q = spectral.transport_bilinear(v, v)
+q = spectral.transport_bilinear(v)
 l2 = gevrey.norm(v, "L2", GevreyParams(1.0, 1.0))
 cancel = abs(spectral.inner_product(q, v)) / l2 ** 3
 print(f"  transport cancellation    : {cancel:.2e}  (|<Q(v,v), v>| / |v|^3)")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dynamics, gevrey, spectral
+from . import dynamics, gevrey, spectral, stochastic
 from .gevrey import GevreyParams
 from .spectral import SpectralScalar, SpectralVelocity
 
@@ -140,7 +140,7 @@ def nonlinear_estimate_ratio(u: SpectralVelocity, sigma: float, phi: float) -> f
         raise ValueError(f"transport estimate requires sigma > 2, got {sigma}")
     if float(np.abs(u.coeffs).max()) == 0.0:
         return 0.0
-    return _transport_ratio(u, spectral.transport_bilinear(u, u), sigma, phi)
+    return _transport_ratio(u, spectral.transport_bilinear(u), sigma, phi)
 
 
 def _transport_ratio(u: SpectralVelocity, q: SpectralVelocity, sigma: float,
@@ -194,9 +194,8 @@ def estimate_c_sigma(sigma: float, N: int, n_samples: int, seed) -> ConstantEsti
     decay = sigma + 2.0
     ratios = []
     for i in range(n_samples):
-        u = decayed_random_velocity(N, decay, np.random.SeedSequence(entropy=seed,
-                                                                     spawn_key=(i,)))
-        q = spectral.transport_bilinear(u, u)  # one Q(u, u) for every radius
+        u = decayed_random_velocity(N, decay, stochastic.path_seed(seed, i))
+        q = spectral.transport_bilinear(u)  # one Q(u, u) for every radius
         ratios.append(max(_transport_ratio(u, q, sigma, phi) for phi in PHIS))
     arr = np.sort(np.asarray(ratios))
     return ConstantEstimate(value=float(arr[-1]),
@@ -226,8 +225,7 @@ def estimate_c_star(sigma: float, s: float, N: int, n_samples: int,
     weights = {phi: np.exp(2.0 * phi * kk ** s) * kk ** (2.0 * sigma * s) for phi in PHIS}
     ratios = []
     for i in range(n_samples):
-        u = decayed_random_velocity(N, decay, np.random.SeedSequence(entropy=seed,
-                                                                     spawn_key=(i,)))
+        u = decayed_random_velocity(N, decay, stochastic.path_seed(seed, i))
         n_sig = {phi: gevrey.norm(u, "Gevrey_dot", GevreyParams(sigma, s, phi))
                  for phi in PHIS}
         n_one = {phi: gevrey.norm(u, "Gevrey_dot", GevreyParams(sigma + 1.0, s, phi))

@@ -39,12 +39,14 @@ EXIT_CONFIG = 2
 EXIT_BLOWUP = 10
 EXIT_RADIUS = 11
 EXIT_GOODSET = 12
+EXIT_EXPONENT_CAP = 13
 
 STATUS_EXIT_CODES = {
     dynamics.STATUS_COMPLETED: EXIT_OK,
     dynamics.STATUS_BLOWUP: EXIT_BLOWUP,
     dynamics.STATUS_RADIUS_EXHAUSTED: EXIT_RADIUS,
     dynamics.STATUS_GOODSET_EXIT: EXIT_GOODSET,
+    dynamics.STATUS_EXPONENT_CAP: EXIT_EXPONENT_CAP,
 }
 
 
@@ -330,8 +332,7 @@ def cmd_goodset(args) -> int:
 def _verify_cancellation(seed=0) -> dict:
     worst = 0.0
     for i in range(100):
-        u = analysis.decayed_random_velocity(8, 4.0, np.random.SeedSequence(
-            entropy=seed, spawn_key=(i,)))
+        u = analysis.decayed_random_velocity(8, 4.0, stochastic.path_seed(seed, i))
         worst = max(worst, analysis.twisted_cancellation_residual(u, 1.0, 0.0, 1.0))
     return {"max_residual": worst, "tolerance": 1e-10, "ok": worst <= 1e-10}
 

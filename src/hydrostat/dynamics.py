@@ -47,6 +47,7 @@ STATUS_COMPLETED = "completed"
 STATUS_BLOWUP = "blowup"
 STATUS_RADIUS_EXHAUSTED = "radius_exhausted"
 STATUS_GOODSET_EXIT = "goodset_exit"
+STATUS_EXPONENT_CAP = "exponent_cap"
 
 
 class RadiusViolationError(ValueError):
@@ -243,10 +244,10 @@ def twisted_transport(u: SpectralVelocity, nu: float, w: float,
     gevrey.check_exponent_cap(abs(nu * w), s, u.N)
     if nu * w == 0.0 or s == 0.0:
         scale = math.exp(nu * w) if s == 0.0 else 1.0
-        q = spectral.transport_bilinear(u, u)
+        q = spectral.transport_bilinear(u)
         return scale * spectral.hydrostatic_leray(q)
     v = gevrey.noise_transform(u, nu, w, s, "inverse")
-    q = spectral.transport_bilinear(v, v)
+    q = spectral.transport_bilinear(v)
     pq = spectral.hydrostatic_leray(q)
     return gevrey.noise_transform(pq, nu, w, s, "forward")
 
@@ -262,7 +263,7 @@ def _ifrk4_step(u: SpectralVelocity, t: float, dt: float, path: BrownianPath,
         return -twisted_transport(x, cfg.nu, w, s)
 
     def E(x: SpectralVelocity) -> SpectralVelocity:
-        return replace(x, coeffs=x.coeffs * half_factor)
+        return SpectralVelocity(x.coeffs * half_factor, x.N)
 
     a = nonlin(u)
     ua = E(u + (0.5 * dt) * a)
@@ -328,8 +329,10 @@ def run(u0: SpectralVelocity, cfg: SimConfig, path: BrownianPath | None = None,
     Status rules: 'blowup' when the tracked norm exceeds blowup_factor times
     its initial value (or turns non-finite), 'radius_exhausted' when the
     tracked radius reaches zero, 'goodset_exit' when the noise exponent
-    overflows the exponent cap or crosses alpha + beta*t (diffusion; damping
-    only records the crossing in ``goodset``, as exp(nu*W) stays finite).
+    crosses alpha + beta*t (diffusion; damping only records the crossing in
+    ``goodset``, as exp(nu*W) stays finite), 'exponent_cap' when a step's
+    noise conjugation or tracked-norm weight would pass
+    ``gevrey.EXPONENT_CAP`` (``goodset`` still reads the barrier).
     Raises ``TruncationMismatchError`` when ``u0.N != cfg.n_modes``.
     """
     if u0.N != cfg.n_modes:
@@ -404,7 +407,7 @@ def run(u0: SpectralVelocity, cfg: SimConfig, path: BrownianPath | None = None,
             else:
                 gu = gevrey.norm(u, "Gevrey", cfg.norm_params(t1))
         except ExponentCapError:
-            status, t_final = STATUS_GOODSET_EXIT, t0
+            status, t_final = STATUS_EXPONENT_CAP, t0
             break
         if not math.isfinite(gu) or gu > blow_threshold:
             status, t_final = STATUS_BLOWUP, t1

@@ -16,7 +16,10 @@ Fields admitted by the solver satisfy four structural constraints:
 Quadratic products are evaluated by zero-padded FFTs on a grid large
 enough that the retained modes of the product are alias-free, so the
 discrete transport term inherits the exact cancellation and symmetry
-identities of the continuous bilinear form.
+identities of the continuous bilinear form.  Two products are served: the
+self-transport ``Q(u, u)`` (``u1``, ``u2`` and ``w`` to the grid, 5
+products back, 6 ``numpy.fft`` calls), which is the only form the solver
+evaluates, and the scalar product on its full support ``|m| <= 2N``.
 
 The grid transforms are real and pruned: they read only the ``m3 >= 0``
 half of a coefficient array and assume the field is real, i.e. Hermitian,
@@ -27,7 +30,7 @@ product is rebuilt as the conjugate of the flipped ``m3 > 0`` half.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -44,7 +47,6 @@ __all__ = [
     "vertical_velocity",
     "transport_bilinear",
     "inner_product",
-    "physical_samples",
     "random_coefficients",
 ]
 
@@ -85,23 +87,23 @@ class SpectralVelocity:
         return cls(np.zeros((2, n, n, n), dtype=complex), N)
 
     def copy(self) -> "SpectralVelocity":
-        return replace(self, coeffs=self.coeffs.copy())
+        return SpectralVelocity(self.coeffs.copy(), self.N)
 
     def __add__(self, other: "SpectralVelocity") -> "SpectralVelocity":
         _check_same_truncation(self, other)
-        return replace(self, coeffs=self.coeffs + other.coeffs)
+        return SpectralVelocity(self.coeffs + other.coeffs, self.N)
 
     def __sub__(self, other: "SpectralVelocity") -> "SpectralVelocity":
         _check_same_truncation(self, other)
-        return replace(self, coeffs=self.coeffs - other.coeffs)
+        return SpectralVelocity(self.coeffs - other.coeffs, self.N)
 
     def __mul__(self, scalar) -> "SpectralVelocity":
-        return replace(self, coeffs=self.coeffs * scalar)
+        return SpectralVelocity(self.coeffs * scalar, self.N)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "SpectralVelocity":
-        return replace(self, coeffs=-self.coeffs)
+        return SpectralVelocity(-self.coeffs, self.N)
 
 
 @dataclass(frozen=True)
@@ -274,7 +276,7 @@ def project_constraints(f: SpectralVelocity) -> SpectralVelocity:
     c[:, N, N, N] = 0.0
     # divergence-free vertical average on the m3 = 0 slab
     _leray_slab(c, N)
-    return replace(f, coeffs=c)
+    return SpectralVelocity(c, N)
 
 
 def hydrostatic_leray(f: SpectralVelocity) -> SpectralVelocity:
@@ -285,7 +287,7 @@ def hydrostatic_leray(f: SpectralVelocity) -> SpectralVelocity:
     """
     c = f.coeffs.copy()
     _leray_slab(c, f.N)
-    return replace(f, coeffs=c)
+    return SpectralVelocity(c, f.N)
 
 
 @lru_cache(maxsize=32)
@@ -329,66 +331,48 @@ def vertical_velocity(f: SpectralVelocity) -> SpectralScalar:
     return SpectralScalar(w, N, parity="odd")
 
 
-def transport_bilinear(u_adv: SpectralVelocity, f: SpectralVelocity) -> SpectralVelocity:
-    """Bilinear transport term: horizontal advection plus vertical transport
-    by the induced vertical velocity, ``u.grad' f + w d_z f``.
+def transport_bilinear(u: SpectralVelocity) -> SpectralVelocity:
+    """Self-transport ``Q(u, u) = u.grad' u + w d_z u``: horizontal advection
+    plus vertical transport by the induced vertical velocity.
 
-    Evaluated in flux form, ``d_j(u_j f) + d_z(w f)``.  Precondition: the
-    advector is divergence-free in 3D, ``grad'.u + d_z w = 0``, which holds
-    mode by mode because ``vertical_velocity`` builds ``w`` from it and
-    rejects an advector whose vertical average is not divergence-free.  The
-    two forms differ by ``f (grad'.u + d_z w)``: round-off for a projected
-    advector, up to ``INCOMPRESSIBILITY_RTOL`` relative for one that
-    ``vertical_velocity`` admits unprojected.
-    Only ``u_adv``, ``w`` and (when ``f is not u_adv``) ``f`` go to the
-    grid; the 5 distinct products (6 for ``f is not u_adv``) come back and
-    are differentiated on the retained modes.  The products are evaluated on
-    a zero-padded grid so the retained modes are the exact convolution; the
-    result is *not* re-projected.
+    Evaluated in flux form, ``d_j(u_j u) + d_z(w u)``.  Precondition: ``u``
+    is divergence-free in 3D, ``grad'.u + d_z w = 0``, which holds mode by
+    mode because ``vertical_velocity`` builds ``w`` from it and rejects a
+    field whose vertical average is not divergence-free.  The two forms
+    differ by ``u (grad'.u + d_z w)``: round-off for a projected field, up
+    to ``INCOMPRESSIBILITY_RTOL`` relative for one that ``vertical_velocity``
+    admits unprojected.
+    Only ``u1``, ``u2`` and ``w`` go to the grid; the 5 distinct products
+    come back and are differentiated on the retained modes.  The products
+    are evaluated on a zero-padded grid so the retained modes are the exact
+    convolution; the result is *not* re-projected.
     """
-    _check_same_truncation(u_adv, f)
-    N = f.N
+    N = u.N
     ik = _derivative_multipliers(N)
-    w = vertical_velocity(u_adv).coeffs
+    w = vertical_velocity(u).coeffs
     M = dealias_pad_size(N, N)
-    if f is u_adv:
-        u1, u2, uz = _to_grid(np.concatenate([u_adv.coeffs, w[None]]), N, M)
-        p = _from_grid(np.stack([u1 * u1, u1 * u2, u2 * u2, u1 * uz, u2 * uz]), N, M)
-        fluxes = ((p[0], p[1], p[3]), (p[1], p[2], p[4]))
-    else:
-        u1, u2, uz, f1, f2 = _to_grid(np.concatenate([u_adv.coeffs, w[None], f.coeffs]), N, M)
-        p = _from_grid(np.stack([u1 * f1, u2 * f1, uz * f1, u1 * f2, u2 * f2, uz * f2]), N, M)
-        fluxes = (p[:3], p[3:])
+    u1, u2, uz = _to_grid(np.concatenate([u.coeffs, w[None]]), N, M)
+    p = _from_grid(np.stack([u1 * u1, u1 * u2, u2 * u2, u1 * uz, u2 * uz]), N, M)
+    fluxes = ((p[0], p[1], p[3]), (p[1], p[2], p[4]))
     out = np.stack([ik[0] * a + ik[1] * b + ik[2] * c for a, b, c in fluxes])
     return SpectralVelocity(out, N)
 
 
-def scalar_product(f: SpectralScalar, g: SpectralScalar, N_out: int | None = None) -> SpectralScalar:
-    """Alias-free pointwise product of two scalar fields, truncated to N_out
-    (defaults to the full product support 2N)."""
+def scalar_product(f: SpectralScalar, g: SpectralScalar) -> SpectralScalar:
+    """Alias-free pointwise product of two scalar fields on its full
+    support, modes ``|m| <= 2N``."""
     _check_same_truncation(f, g)
     N = f.N
-    if N_out is None:
-        N_out = 2 * N
-    M = dealias_pad_size(N, N_out)
-    out = _from_grid(_to_grid(f.coeffs, N, M) * _to_grid(g.coeffs, N, M), N_out, M)
+    M = dealias_pad_size(N, 2 * N)
+    out = _from_grid(_to_grid(f.coeffs, N, M) * _to_grid(g.coeffs, N, M), 2 * N, M)
     parity = "even" if f.parity == g.parity else "odd"
-    return SpectralScalar(out, N_out, parity)
+    return SpectralScalar(out, 2 * N, parity)
 
 
 def inner_product(f, g) -> float:
     """Real L2 pairing of two fields of the same kind and truncation."""
     _check_same_truncation(f, g)
     return float(np.sum(f.coeffs * np.conj(g.coeffs)).real)
-
-
-def physical_samples(field, M: int | None = None) -> np.ndarray:
-    """Real-space samples on a uniform M^3 grid (x_j = j / M)."""
-    if M is None:
-        M = 2 * field.N + 2
-    if M < 2 * field.N + 1:
-        raise ValueError(f"M must be at least 2N + 1 = {2 * field.N + 1}, got {M}")
-    return _to_grid(field.coeffs, field.N, M)
 
 
 def _gaussian_draw(N: int, seed, lead: tuple = ()):

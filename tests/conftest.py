@@ -22,9 +22,9 @@ def transport_calls(monkeypatch):
     calls = []
     transport = spectral.transport_bilinear
 
-    def counted(u, f):
+    def counted(u):
         calls.append(1)
-        return transport(u, f)
+        return transport(u)
 
     monkeypatch.setattr(spectral, "transport_bilinear", counted)
     return calls

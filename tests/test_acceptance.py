@@ -47,7 +47,7 @@ def test_criterion_02_structural_suite():
         scale = np.abs(p1.coeffs).max()
         p2 = spectral.project_constraints(p1)
         worst_idem = max(worst_idem, np.abs(p2.coeffs - p1.coeffs).max() / scale)
-        q = spectral.transport_bilinear(p1, p1)
+        q = spectral.transport_bilinear(p1)
         l2 = gevrey.norm(p1, "L2", GevreyParams(1.0, 1.0, 0.0))
         worst_cancel = max(worst_cancel,
                            abs(spectral.inner_product(q, p1)) / l2 ** 3)

@@ -245,6 +245,39 @@ dir = {outdir}
         res = run_cli(["simulate", "--config", cfg, "--quiet"])
         assert res.returncode == bench_cli.EXIT_GOODSET
 
+    def test_exponent_cap_exit_code(self, tmp_path):
+        # damping never stops at the barrier, and with nu = 1000 the scalar
+        # conjugation exp(nu*W) passes the cap once |W| > 0.7 (t = 0.237
+        # for this seed)
+        text = """
+[experiment]
+name = cap
+
+[sim]
+noise = damping
+nu = 1000.0
+s = 0
+sigma = 2.6
+N = 4
+dt = 1e-3
+T = 0.3
+seed = 1
+radius_kind = constant
+alpha = 0.3
+
+[initial_data]
+family = two_mode
+amplitude = 1e-6
+
+[output]
+dir = {outdir}
+""".format(outdir=tmp_path)
+        cfg = write_config(tmp_path, text)
+        assert bench_cli.main(["simulate", "--config", cfg, "--quiet"]) == 13
+        summary = json.loads((tmp_path / "cap_summary.jsonl").read_text())
+        assert summary["status"] == "exponent_cap"
+        assert summary["t_final"] == pytest.approx(0.237)
+
     def test_config_error_exit_and_message(self, tmp_path):
         text = BASE_CONFIG.format(name="bad", family="two_mode",
                                   amplitude="0.01", outdir=tmp_path)

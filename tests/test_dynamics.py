@@ -278,8 +278,26 @@ class TestRun:
                         radius=RadiusSchedule.constant(0.01), n_modes=N,
                         dt=dt, horizon=0.1)
         rec = dy.run(small_two_mode(N, amplitude=1e-6), cfg, path)
-        assert rec.status == "goodset_exit"
+        assert rec.status == "exponent_cap"
         assert rec.t_final == 0.02
+
+    def test_diffusion_exits_at_exponent_cap_inside_good_set(self):
+        # W = -9 from t = 0.01 keeps nu*W far under the barrier, but
+        # nu*|W|*|k|_max = 2*9*43.5 exceeds the cap: the stop is the cap's,
+        # and the good-set verdict still reads the barrier
+        N, dt = 4, 0.01
+        times = dt * np.arange(11)
+        values = np.full(11, -9.0)
+        values[0] = 0.0
+        assert 2.0 * 9.0 * gevrey.max_abs_k(N) > gevrey.EXPONENT_CAP
+        path = BrownianPath(times=times, values=values, seed=None, dt=dt)
+        cfg = SimConfig(noise="diffusion", nu=2.0, s=1.0, sigma=1.9,
+                        radius=RadiusSchedule.linear(0.5, 0.05), n_modes=N,
+                        dt=dt, horizon=0.1)
+        rec = dy.run(small_two_mode(N, amplitude=1e-3), cfg, path)
+        assert rec.status == "exponent_cap"
+        assert rec.t_final == 0.01
+        assert rec.summary()["goodset"] is True
 
     def test_truncation_mismatch_rejected(self):
         cfg = damping_cfg(N=4, T=0.02)
