@@ -290,6 +290,9 @@ def cmd_ensemble(args) -> int:
             c_star=c_star, c_sigma=c_sigma)
     except dynamics.ThresholdError as exc:
         raise ConfigError(f"ensemble: {exc}") from exc
+    except gevrey.ExponentCapError as exc:
+        raise ConfigError(f"ensemble: radius past the exponent cap at "
+                          f"N = {cfg.n_modes}: {exc}") from exc
 
     (out / f"{name}_runs.jsonl").write_text(
         "\n".join(summary_line(r) for r in result.records) + "\n")

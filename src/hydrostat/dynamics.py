@@ -213,13 +213,16 @@ class RunRecord:
         return float(finite.max()) if finite.size else math.nan
 
     def summary(self) -> dict:
+        """JSON-ready fields; ``max_gevrey_norm`` is None (JSON null) when no
+        finite norm was recorded, as for a stop at the cap at t = 0."""
+        peak = self.max_gevrey_norm
         return {
             "schema": 1,
             "name": self.name,
             "seed": _seed_repr(self.seed),
             "status": self.status,
             "t_final": self.t_final,
-            "max_gevrey_norm": self.max_gevrey_norm,
+            "max_gevrey_norm": None if math.isnan(peak) else peak,
             "goodset": self.goodset,
         }
 
@@ -331,8 +334,9 @@ def run(u0: SpectralVelocity, cfg: SimConfig, path: BrownianPath | None = None,
     tracked radius reaches zero, 'goodset_exit' when the noise exponent
     crosses alpha + beta*t (diffusion; damping only records the crossing in
     ``goodset``, as exp(nu*W) stays finite), 'exponent_cap' when a step's
-    noise conjugation or tracked-norm weight would pass
-    ``gevrey.EXPONENT_CAP`` (``goodset`` still reads the barrier).
+    noise conjugation or a tracked norm's squared weight, the one at t = 0
+    included, would pass ``gevrey.EXPONENT_CAP`` (``goodset`` still reads
+    the barrier; a stop at t = 0 records no sample).
     Raises ``TruncationMismatchError`` when ``u0.N != cfg.n_modes``.
     """
     if u0.N != cfg.n_modes:
@@ -379,12 +383,14 @@ def run(u0: SpectralVelocity, cfg: SimConfig, path: BrownianPath | None = None,
         rec_gu.append(gu), rec_l2.append(l2), rec_gv.append(gv_val)
         return gu
 
-    initial_norm = record(0, u)
-    blow_threshold = cfg.blowup_factor * max(initial_norm, 1e-300)
     status = STATUS_COMPLETED
     t_final = float(times[-1])
-
     n_steps = len(times) - 1
+    try:
+        blow_threshold = cfg.blowup_factor * max(record(0, u), 1e-300)
+    except ExponentCapError:
+        status, t_final, n_steps = STATUS_EXPONENT_CAP, float(times[0]), 0
+
     for k in range(n_steps):
         t0 = float(times[k])
         t1 = float(times[k + 1])

@@ -109,7 +109,9 @@ def norm(field, kind: str, params: GevreyParams) -> float:
 
     Kinds: 'L2', and 'Gevrey' / 'Gevrey_dot' with weight
     exp(2*phi*|k|^s) |k|^(2*sigma*s); at phi = 0 these are the Sobolev
-    norms with exponent sigma*s (inhomogeneous / homogeneous).
+    norms with exponent sigma*s (inhomogeneous / homogeneous).  Raises
+    ``ExponentCapError`` when the squared weight's exponent
+    2*phi*|k|_max^s passes ``EXPONENT_CAP``.
     """
     N = field.N
     a = np.abs(field.coeffs)
@@ -117,7 +119,12 @@ def norm(field, kind: str, params: GevreyParams) -> float:
         return float(np.sqrt(_ordered_sum(a * a, N)))
     if kind not in ("Gevrey", "Gevrey_dot"):
         raise ValueError(f"unknown norm kind {kind!r}")
-    check_exponent_cap(params.phi, params.s, N)
+    # the sum runs over squared weights exp(2*phi*|k|^s)
+    exponent = 2.0 * params.phi * max_abs_k(N) ** params.s
+    if exponent > EXPONENT_CAP:
+        raise ExponentCapError(
+            f"squared-weight exponent 2*phi*|k|_max^s = {exponent:.3g} exceeds cap "
+            f"{EXPONENT_CAP:.3g} (phi={params.phi:.6g}, s={params.s:.3g}, N={N})")
     kk = abs_k(N)
     r = params.sigma * params.s
     weighted = np.exp(params.phi * kk ** params.s) * (kk ** r) * a

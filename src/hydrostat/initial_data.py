@@ -74,10 +74,10 @@ def random_analytic(N: int, radius: float, amplitude: float = 1.0, seed=0,
     return spectral.project_constraints(SpectralVelocity(c, N))
 
 
-def normalize_to(u: SpectralVelocity, target: float, params: GevreyParams,
-                 kind: str = "Gevrey") -> SpectralVelocity:
-    """Rescale so that the requested norm equals ``target`` exactly."""
-    current = gevrey.norm(u, kind, params)
+def normalize_to(u: SpectralVelocity, target: float,
+                 params: GevreyParams) -> SpectralVelocity:
+    """Rescale so that the Gevrey norm at ``params`` equals ``target`` exactly."""
+    current = gevrey.norm(u, "Gevrey", params)
     if current == 0.0:
         raise ValueError("cannot normalize the zero field")
     return (target / current) * u

@@ -26,6 +26,12 @@ half of a coefficient array and assume the field is real, i.e. Hermitian,
 which ``project_constraints`` guarantees, and they run one axis at a time
 over the 1-D lines that carry retained modes.  The ``m3 < 0`` half of a
 product is rebuilt as the conjugate of the flipped ``m3 > 0`` half.
+
+One helper, ``_grid_products``, makes the round trip for both products.
+It writes the products into one preallocated real buffer and drops each
+grid stage as soon as the next one exists, so a transport holds at most
+the product buffer and its ``rfft`` half spectrum at once; the derivative
+factors are broadcast ``(n, 1, 1)``-style vectors, not ``(n, n, n)`` arrays.
 """
 
 from __future__ import annotations
@@ -156,12 +162,12 @@ def abs_k(N: int) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _derivative_multipliers(N: int):
-    """Spectral derivative factors (i*k1, i*k2, i*k3), read-only."""
-    m1, m2, m3 = lattice(N)
-    out = tuple(2j * np.pi * m for m in (m1, m2, m3))
-    for a in out:
-        a.setflags(write=False)
-    return out
+    """Spectral derivative factors (i*k1, i*k2, i*k3), read-only, shaped
+    ``(n, 1, 1)``, ``(1, n, 1)`` and ``(1, 1, n)`` to broadcast against an
+    ``(n, n, n)`` coefficient array."""
+    ik = 2j * np.pi * np.arange(-N, N + 1)
+    ik.setflags(write=False)
+    return ik[:, None, None], ik[None, :, None], ik[None, None, :]
 
 
 @lru_cache(maxsize=32)
@@ -239,17 +245,34 @@ def _to_grid(stack: np.ndarray, N: int, M: int) -> np.ndarray:
     return np.fft.irfft(half, n=M, axis=-1, norm="forward")
 
 
-def _from_grid(phys: np.ndarray, N_out: int, M: int) -> np.ndarray:
-    """Centered coefficients with |m| <= N_out of real samples.
+def _grid_products(fields, pairs, N: int, N_out: int) -> np.ndarray:
+    """Centered coefficients with |m| <= N_out of the real products
+    ``g[a] * g[b]`` for ``(a, b)`` in ``pairs``, where ``g`` holds the grid
+    samples of the concatenated ``fields`` (centered, truncation N).
 
-    ``rfftn``'s axis order, pruned to the retained lines: ``rfft`` along
+    The grid is ``M = dealias_pad_size(N, N_out)``.  The forward transform
+    is ``rfftn``'s axis order pruned to the retained lines: ``rfft`` along
     axis -1 keeping ``m3 = 0..N_out``, ``fft`` along axis -2, the retained
     rows, ``fft`` along axis -3; bitwise the gather of ``rfftn``.  The
-    ``m3 < 0`` half follows by conjugate symmetry.  Requires
-    ``M >= 2 N_out + 1``.
+    ``m3 < 0`` half follows by conjugate symmetry.
+
+    Each stage is dropped once the next one exists: the samples once the
+    products are in their one buffer, the products once their ``rfft``
+    exists and that full half spectrum once the axis -2 transform exists.
+    All of them live in this frame, so no caller keeps one alive, and the
+    peak is the product buffer plus its ``rfft``.
     """
-    half = np.fft.rfft(phys, axis=-1, norm="forward")[..., : N_out + 1]
-    half = _crop(np.fft.fft(half, axis=-2, norm="forward"), N_out, -2)
+    M = dealias_pad_size(N, N_out)
+    grid = _to_grid(np.concatenate(fields), N, M)
+    phys = np.empty((len(pairs), M, M, M))
+    for i, (a, b) in enumerate(pairs):
+        np.multiply(grid[a], grid[b], out=phys[i])
+    del grid
+    full = np.fft.rfft(phys, axis=-1, norm="forward")
+    del phys
+    half = np.fft.fft(full[..., : N_out + 1], axis=-2, norm="forward")
+    del full
+    half = _crop(half, N_out, -2)
     half = _crop(np.fft.fft(half, axis=-3, norm="forward"), N_out, -3)
     return np.concatenate([np.conj(half[..., ::-1, ::-1, :0:-1]), half], axis=-1)
 
@@ -331,6 +354,10 @@ def vertical_velocity(f: SpectralVelocity) -> SpectralScalar:
     return SpectralScalar(w, N, parity="odd")
 
 
+# grid rows (u1, u2, w) of the 5 distinct products u1u1, u1u2, u2u2, u1w, u2w
+_TRANSPORT_PAIRS = ((0, 0), (0, 1), (1, 1), (0, 2), (1, 2))
+
+
 def transport_bilinear(u: SpectralVelocity) -> SpectralVelocity:
     """Self-transport ``Q(u, u) = u.grad' u + w d_z u``: horizontal advection
     plus vertical transport by the induced vertical velocity.
@@ -349,10 +376,7 @@ def transport_bilinear(u: SpectralVelocity) -> SpectralVelocity:
     """
     N = u.N
     ik = _derivative_multipliers(N)
-    w = vertical_velocity(u).coeffs
-    M = dealias_pad_size(N, N)
-    u1, u2, uz = _to_grid(np.concatenate([u.coeffs, w[None]]), N, M)
-    p = _from_grid(np.stack([u1 * u1, u1 * u2, u2 * u2, u1 * uz, u2 * uz]), N, M)
+    p = _grid_products((u.coeffs, vertical_velocity(u).coeffs[None]), _TRANSPORT_PAIRS, N, N)
     fluxes = ((p[0], p[1], p[3]), (p[1], p[2], p[4]))
     out = np.stack([ik[0] * a + ik[1] * b + ik[2] * c for a, b, c in fluxes])
     return SpectralVelocity(out, N)
@@ -363,8 +387,7 @@ def scalar_product(f: SpectralScalar, g: SpectralScalar) -> SpectralScalar:
     support, modes ``|m| <= 2N``."""
     _check_same_truncation(f, g)
     N = f.N
-    M = dealias_pad_size(N, 2 * N)
-    out = _from_grid(_to_grid(f.coeffs, N, M) * _to_grid(g.coeffs, N, M), 2 * N, M)
+    out = _grid_products((f.coeffs[None], g.coeffs[None]), ((0, 1),), N, 2 * N)[0]
     parity = "even" if f.parity == g.parity else "odd"
     return SpectralScalar(out, 2 * N, parity)
 

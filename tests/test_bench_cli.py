@@ -278,6 +278,44 @@ dir = {outdir}
         assert summary["status"] == "exponent_cap"
         assert summary["t_final"] == pytest.approx(0.237)
 
+    CAP_CONFIG = """
+[experiment]
+name = cap0
+
+[sim]
+noise = diffusion
+nu = 15.0
+s = 1.0
+sigma = 1.9
+N = 4
+dt = 1e-3
+T = 0.01
+seed = 1
+radius_kind = linear
+alpha = {alpha}
+beta = 100.0
+
+[initial_data]
+family = two_mode
+amplitude = 1e-3
+
+[output]
+dir = {outdir}
+"""
+
+    # phi*|k|_max = 653 passes the weight's own check, but the norm sums
+    # squared weights (exponent 1306); at alpha = 20 the weight itself is
+    # past the cap (871).  Both stop before the first step.
+    @pytest.mark.parametrize("alpha", ["15.0", "20.0"])
+    def test_cap_at_t0_reports_exponent_cap(self, tmp_path, capsys, alpha):
+        cfg = write_config(tmp_path, self.CAP_CONFIG.format(alpha=alpha, outdir=tmp_path))
+        assert bench_cli.main(["simulate", "--config", cfg]) == bench_cli.EXIT_EXPONENT_CAP
+        assert capsys.readouterr().out == "cap0 seed=1: exponent_cap at t=0 (max norm nan)\n"
+        summary = json.loads((tmp_path / "cap0_summary.jsonl").read_text())
+        assert summary["status"] == "exponent_cap" and summary["t_final"] == 0.0
+        assert summary["max_gevrey_norm"] is None and summary["goodset"] is True
+        assert (tmp_path / "cap0_seed1.csv").read_text() == bench_cli.CSV_HEADER + "\n"
+
     def test_config_error_exit_and_message(self, tmp_path):
         text = BASE_CONFIG.format(name="bad", family="two_mode",
                                   amplitude="0.01", outdir=tmp_path)
@@ -400,6 +438,20 @@ dir = {outdir}
             c_sigma="estimate", paths=2, outdir=tmp_path))
         assert bench_cli.main(["ensemble", "--config", cfg, "--quiet"]) == 0
         assert len(calls) == 1
+
+    def test_radius_past_cap_is_config_error(self, tmp_path, capsys):
+        # epsilon = 0.01 sets alpha = 18.42, so with eta the threshold norm
+        # runs at phi = 18.70 and its squared weight at 2*phi*|k|_max = 1628
+        text = TestEnsemble.ROUNDOFF_CONFIG + (
+            "[ensemble]\nepsilon = 0.01\npaths = 2\nc_star = 0.05\n\n"
+            f"[output]\ndir = {tmp_path / 'out'}\n")
+        cfg = write_config(tmp_path, text)
+        assert bench_cli.main(["ensemble", "--config", cfg, "--quiet"]) \
+            == bench_cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ensemble: radius past the exponent cap "
+                              "at N = 4: ")
+        assert "phi=18.6979" in err
 
     def test_goodset_fraction_matches_stochastic_module(self, tmp_path):
         # ignoring the PDE outcome, the per-run goodset flags reproduce the

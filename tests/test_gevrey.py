@@ -116,6 +116,16 @@ class TestNorms:
         with pytest.raises(ExponentCapError):
             gevrey.norm(f, "Gevrey", GevreyParams(1.9, 1.0, 12.0))
 
+    def test_norm_cap_guards_the_squared_weight(self):
+        # phi*|k|_max = 435 passes the weight's own check, but the sum runs
+        # over exp(2*phi*|k|^s), whose exponent 871 would overflow to inf
+        f = spectral.random_coefficients(8, 1)
+        p = GevreyParams(1.9, 1.0, 5.0)
+        assert p.phi * gevrey.max_abs_k(8) < gevrey.EXPONENT_CAP < 2 * p.phi * gevrey.max_abs_k(8)
+        gevrey.exp_multiplier(f, p.phi, p.s)
+        with pytest.raises(ExponentCapError):
+            gevrey.norm(f, "Gevrey", p)
+
     def test_unknown_kind(self, projected_field):
         with pytest.raises(ValueError):
             gevrey.norm(projected_field(), "Linfty", GevreyParams(1.0, 1.0, 0.0))

@@ -8,6 +8,8 @@ and the advective transport, full ``irfftn``/``rfftn`` references for the
 pruned passes, and the boolean-mask vertical velocity for its bitwise form.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -351,8 +353,9 @@ class TestPrunedTransforms:
         g = spectral._to_grid(stack, N, M)
         np.testing.assert_array_equal(g, half_spectrum_samples(stack, N, M))
         prods = np.stack([g[0] * g[1], g[1] * g[2]])
-        np.testing.assert_array_equal(spectral._from_grid(prods, N, M),
-                                      half_spectrum_coeffs(prods, N, M))
+        np.testing.assert_array_equal(
+            spectral._grid_products((stack,), ((0, 1), (1, 2)), N, N),
+            half_spectrum_coeffs(prods, N, M))
 
     @pytest.mark.parametrize("N", [3, 4])
     def test_scalar_product(self, projected_field, N):
@@ -388,3 +391,23 @@ class TestPrunedTransforms:
             monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
         spectral.transport_bilinear(projected_field(N=N, seed=19))
         assert len(calls) == 6
+
+    def test_transport_working_set(self):
+        """One N = 16 transport holds at most the (5, M, M, M) product
+        buffer and its ``rfft`` half spectrum at once: about 2.04x the
+        buffer, bounded here by 2.2x (10.5 MiB at M = 50)."""
+        N = 16
+        u = spectral.project_constraints(spectral.random_coefficients(N, 3))
+        spectral.transport_bilinear(u)  # per-N caches filled outside the trace
+        M = spectral.dealias_pad_size(N, N)
+        buffer = 5 * M ** 3 * 8
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            spectral.transport_bilinear(u)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert M == 50
+        assert peak <= 2.2 * buffer, f"peak {peak / 2**20:.2f} MiB"
