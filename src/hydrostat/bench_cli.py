@@ -9,7 +9,8 @@ Config files use a flat ``key = value`` grammar with ``[section]`` headers
 and ``#`` comments; ``CONFIG_KEYS`` names every accepted section and key.
 Outputs are a fixed-column CSV time series per run and JSON-lines
 summaries; identical config and seed reproduce byte-identical files.
-Ensemble members run one after another in path-index order.  A bad config
+Ensemble members run one after another in path-index order; damping
+members share one clocked solve and equal their runs alone.  A bad config
 or argument (an unknown section, key or flag, or a bad value such as a
 non-finite step) exits with code 2.
 """
@@ -305,6 +306,7 @@ def cmd_ensemble(args) -> int:
         "target": result.target,
         "epsilon": epsilon,
         "n_paths": n_paths,
+        "n_completed_goodset": result.n_completed_goodset,
         "alpha": result.alpha,
         "beta": result.beta,
         "nu": result.nu,

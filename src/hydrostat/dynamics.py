@@ -2,16 +2,20 @@
 
 Diffusion form: the noise conjugation turns the stochastic equation into a
 pathwise random PDE with emergent dissipation -0.5*nu^2*|k|^(2s) and a
-twisted transport term evaluated in the original variables.  Damping form
-(s = 0): scalar integrating factor exp(-0.5*nu^2*dt) with scalar prefactor
-exp(nu*W) on the transport term.
-
-Each step freezes W at its left endpoint, applies the linear factor exactly
-per mode, advances the twisted nonlinearity with a classical four-stage
-Runge-Kutta combination under the integrating factor, and re-projects the
-structural constraints.  Pathwise accuracy is therefore limited by the path
+twisted transport term evaluated in the original variables.  Each step
+freezes W at its left endpoint, applies the linear factor exactly per mode,
+advances the twisted nonlinearity with a classical four-stage Runge-Kutta
+combination under the integrating factor, and re-projects the structural
+constraints.  Pathwise accuracy is therefore limited by the path
 regularity; self-convergence (not exact-solution convergence) is the
 verifiable property.
+
+Damping form (s = 0): u' = -0.5*nu^2 u - exp(nu*W) P Q(u, u).  With W frozen
+per step, u(t) = exp(-nu^2 t/2) Z(tau(t)), where Z solves the nu = 0
+equation and tau is the path's clock ``stochastic.damping_clock``, exact
+per step.  So damping runs do not step their paths: one Z, stepped by the
+nu = 0 stepper on the tau grid n*dt, serves every path of an ensemble, and
+each u(t_k) is read off it by four-node cubic Lagrange interpolation.
 """
 
 from __future__ import annotations
@@ -296,8 +300,9 @@ def step_diffusion(u: SpectralVelocity, t: float, dt: float, path: BrownianPath,
 
 def step_damping(u: SpectralVelocity, t: float, dt: float, path: BrownianPath,
                  cfg: SimConfig) -> SpectralVelocity:
-    """One step of the damping-form equation (scalar factors; also the
-    nu = 0 deterministic baseline)."""
+    """One step of the damping-form equation (scalar factors).  Runs take it
+    at nu = 0 only, for the deterministic baseline and the clocked solve of
+    damping runs; at nu > 0 it is the per-path reference of the tests."""
     eh = math.exp(-0.25 * cfg.nu ** 2 * dt)
     return _ifrk4_step(u, t, dt, path, cfg, eh, 0.0)
 
@@ -325,45 +330,29 @@ def _zero_path(T: float, dt: float) -> BrownianPath:
     return BrownianPath(times=times, values=np.zeros_like(times), seed=None, dt=dt)
 
 
-def run(u0: SpectralVelocity, cfg: SimConfig, path: BrownianPath | None = None,
-        name: str = "") -> RunRecord:
-    """Integrate to the horizon or to a terminal event.
+class _Trace:
+    """Samples, status rules and terminal checks of one run, applied in step
+    order: ``start`` takes the state at t_0, ``advance(k, u)`` the state at
+    t_{k+1} after step k; each returns False once the run has stopped."""
 
-    Status rules: 'blowup' when the tracked norm exceeds blowup_factor times
-    its initial value (or turns non-finite), 'radius_exhausted' when the
-    tracked radius reaches zero, 'goodset_exit' when the noise exponent
-    crosses alpha + beta*t (diffusion; damping only records the crossing in
-    ``goodset``, as exp(nu*W) stays finite), 'exponent_cap' when a step's
-    noise conjugation or a tracked norm's squared weight, the one at t = 0
-    included, would pass ``gevrey.EXPONENT_CAP`` (``goodset`` still reads
-    the barrier; a stop at t = 0 records no sample).
-    Raises ``TruncationMismatchError`` when ``u0.N != cfg.n_modes``.
-    """
-    if u0.N != cfg.n_modes:
-        raise spectral.TruncationMismatchError(
-            f"truncation mismatch: data N={u0.N} vs n_modes={cfg.n_modes}")
-    if path is None:
-        if cfg.noise == "none":
-            path = _zero_path(cfg.horizon, cfg.dt)
-        else:
-            path = stochastic.sample_path(cfg.horizon, cfg.dt, cfg.seed)
-    times = path.times
-    if path.horizon < cfg.horizon - 1e-12:
-        raise ValueError("path horizon shorter than the configured horizon")
+    def __init__(self, cfg: SimConfig, path: BrownianPath, name: str):
+        if path.horizon < cfg.horizon - 1e-12:
+            raise ValueError("path horizon shorter than the configured horizon")
+        self.cfg, self.path, self.name = cfg, path, name
+        self.times = path.times
+        self.n_steps = len(self.times) - 1
+        self.exit_k = None if cfg.noise == "none" else stochastic.first_exit(
+            cfg.nu * path.values, cfg.radius.alpha + cfg.radius.beta * self.times)
+        self.stop_k = self.exit_k if cfg.noise == "diffusion" else None
+        self.stride = max(1, int(round(cfg.horizon / (1000.0 * cfg.dt))))
+        self.rows = []  # (t, W, phi, |U|_G, |U|_L2, |V|_G) per sample
+        self.status = self.t_final = None  # set by stop()
+        self.k = 0  # left endpoint of the next step
 
-    exit_k = None if cfg.noise == "none" else stochastic.first_exit(
-        cfg.nu * path.values, cfg.radius.alpha + cfg.radius.beta * times)
-    stop_k = exit_k if cfg.noise == "diffusion" else None
-
-    u = spectral.project_constraints(u0)
-    stride = max(1, int(round(cfg.horizon / (1000.0 * cfg.dt))))
-
-    rec_t, rec_w, rec_phi, rec_gu, rec_l2, rec_gv = [], [], [], [], [], []
-
-    def record(k, uk):
-        t = float(times[k])
-        w = float(path.values[k])
-        phi_t = cfg.radius.value(t)
+    def record(self, k: int, uk: SpectralVelocity) -> float:
+        cfg = self.cfg
+        t = float(self.times[k])
+        w = float(self.path.values[k])
         p = cfg.norm_params(t)
         gu = gevrey.norm(uk, "Gevrey", p)
         l2 = gevrey.norm(uk, "L2", p)
@@ -379,82 +368,212 @@ def run(u0: SpectralVelocity, cfg: SimConfig, path: BrownianPath | None = None,
                 gv_val = gu
         except (RadiusViolationError, ExponentCapError, OverflowError):
             gv_val = math.nan
-        rec_t.append(t), rec_w.append(w), rec_phi.append(phi_t)
-        rec_gu.append(gu), rec_l2.append(l2), rec_gv.append(gv_val)
+        self.rows.append((t, w, cfg.radius.value(t), gu, l2, gv_val))
         return gu
 
-    status = STATUS_COMPLETED
-    t_final = float(times[-1])
-    n_steps = len(times) - 1
-    try:
-        blow_threshold = cfg.blowup_factor * max(record(0, u), 1e-300)
-    except ExponentCapError:
-        status, t_final, n_steps = STATUS_EXPONENT_CAP, float(times[0]), 0
+    def stop(self, status: str, k: int) -> bool:
+        self.status, self.t_final = status, float(self.times[k])
+        return False
 
-    for k in range(n_steps):
-        t0 = float(times[k])
-        t1 = float(times[k + 1])
-        h = t1 - t0
-        # terminal checks at the left endpoint
-        if cfg.radius.value(t0) <= 0.0:
-            status, t_final = STATUS_RADIUS_EXHAUSTED, t0
-            break
-        if k == stop_k:
-            status, t_final = STATUS_GOODSET_EXIT, t0
-            break
+    def start(self, u: SpectralVelocity) -> bool:
         try:
-            if cfg.noise == "diffusion":
-                u = step_diffusion(u, t0, h, path, cfg)
-            else:
-                u = step_damping(u, t0, h, path, cfg)
-            last = k + 1 == n_steps
-            if (k + 1) % stride == 0 or last:
-                gu = record(k + 1, u)
-            else:
-                gu = gevrey.norm(u, "Gevrey", cfg.norm_params(t1))
+            self.threshold = self.cfg.blowup_factor * max(self.record(0, u), 1e-300)
         except ExponentCapError:
-            status, t_final = STATUS_EXPONENT_CAP, t0
-            break
-        if not math.isfinite(gu) or gu > blow_threshold:
-            status, t_final = STATUS_BLOWUP, t1
-            if rec_t[-1] != t1:
-                record(k + 1, u)
-            break
+            return self.stop(STATUS_EXPONENT_CAP, 0)
+        return self._check(0)
 
-    return RunRecord(
-        times=np.asarray(rec_t),
-        w_values=np.asarray(rec_w),
-        phi=np.asarray(rec_phi),
-        gevrey_norm_u=np.asarray(rec_gu),
-        l2_norm_u=np.asarray(rec_l2),
-        gevrey_norm_v=np.asarray(rec_gv),
-        status=status,
-        t_final=t_final,
-        goodset=exit_k is None,
-        seed=path.seed if path.seed is not None else cfg.seed,
-        name=name,
-    )
+    def _check(self, k: int) -> bool:
+        """Terminal checks at the left endpoint t_k of step k."""
+        self.k = k
+        if k == self.n_steps:
+            return self.stop(STATUS_COMPLETED, k)
+        if self.cfg.radius.value(float(self.times[k])) <= 0.0:
+            return self.stop(STATUS_RADIUS_EXHAUSTED, k)
+        if k == self.stop_k:
+            return self.stop(STATUS_GOODSET_EXIT, k)
+        return True
+
+    def advance(self, k: int, u: SpectralVelocity) -> bool:
+        """The state after step k: its norm, blowup and the norm's cap."""
+        t1 = self.times[k + 1]
+        try:
+            if (k + 1) % self.stride == 0 or k + 1 == self.n_steps:
+                gu = self.record(k + 1, u)
+            else:
+                gu = gevrey.norm(u, "Gevrey", self.cfg.norm_params(float(t1)))
+        except ExponentCapError:
+            return self.stop(STATUS_EXPONENT_CAP, k)
+        if not math.isfinite(gu) or gu > self.threshold:
+            if self.rows[-1][0] != t1:
+                self.record(k + 1, u)
+            return self.stop(STATUS_BLOWUP, k + 1)
+        return self._check(k + 1)
+
+    def result(self) -> RunRecord:
+        cols = [np.asarray(c) for c in zip(*self.rows)] if self.rows \
+            else [np.asarray([])] * 6
+        seed = self.path.seed if self.path.seed is not None else self.cfg.seed
+        return RunRecord(*cols, status=self.status, t_final=self.t_final,
+                         goodset=self.exit_k is None, seed=seed, name=self.name)
+
+
+def _check_truncation(u0: SpectralVelocity, cfg: SimConfig) -> None:
+    if u0.N != cfg.n_modes:
+        raise spectral.TruncationMismatchError(
+            f"truncation mismatch: data N={u0.N} vs n_modes={cfg.n_modes}")
+
+
+def run(u0: SpectralVelocity, cfg: SimConfig, path: BrownianPath | None = None,
+        name: str = "") -> RunRecord:
+    """Integrate to the horizon or to a terminal event.
+
+    Status rules: 'blowup' when the tracked norm exceeds blowup_factor times
+    its initial value (or turns non-finite), 'radius_exhausted' when the
+    tracked radius reaches zero, 'goodset_exit' when the noise exponent
+    crosses alpha + beta*t (diffusion; damping only records the crossing in
+    ``goodset``, as exp(nu*W) stays finite), 'exponent_cap' when a step's
+    noise conjugation or a tracked norm's squared weight, the one at t = 0
+    included, would pass ``gevrey.EXPONENT_CAP`` (``goodset`` still reads
+    the barrier; a stop at t = 0 records no sample).  A damping run reads
+    its states off the clocked nu = 0 solve (module docstring), with the
+    same rules applied in step order.
+    Raises ``TruncationMismatchError`` when ``u0.N != cfg.n_modes``.
+    """
+    _check_truncation(u0, cfg)
+    if path is None:
+        if cfg.noise == "none":
+            path = _zero_path(cfg.horizon, cfg.dt)
+        else:
+            path = stochastic.sample_path(cfg.horizon, cfg.dt, cfg.seed)
+    if cfg.noise == "damping":
+        return _run_clocked(u0, cfg, [path], [name])[0]
+    trace = _Trace(cfg, path, name)
+    step = step_diffusion if cfg.noise == "diffusion" else step_damping
+    times = path.times
+    u = spectral.project_constraints(u0)
+    running = trace.start(u)
+    while running:
+        k = trace.k
+        try:
+            u = step(u, float(times[k]), float(times[k + 1] - times[k]), path, cfg)
+        except ExponentCapError:
+            trace.stop(STATUS_EXPONENT_CAP, k)
+            break
+        running = trace.advance(k, u)
+    return trace.result()
+
+
+def _lagrange_weights(x: float) -> tuple:
+    """Cubic Lagrange weights at x for the nodes 0, 1, 2, 3."""
+    return (-(x - 1.0) * (x - 2.0) * (x - 3.0) / 6.0,
+            0.5 * x * (x - 2.0) * (x - 3.0),
+            -0.5 * x * (x - 1.0) * (x - 3.0),
+            x * (x - 1.0) * (x - 2.0) / 6.0)
+
+
+def _clocked_sweep(z0: SpectralVelocity, cfg: SimConfig, clocks: list, visit) -> None:
+    """Hand ``Z(clocks[p][k])`` to ``visit(p, k, z)`` for every k >= 1, in
+    increasing clock order, where Z is the nu = 0 solution from ``z0``.
+
+    Z is stepped by ``step_damping`` at nu = 0 on the grid ``n*h``,
+    ``h = cfg.dt``, and a query ``tau`` is read off the four nodes from
+    ``max(floor(tau/h) - 1, 0)`` by cubic Lagrange interpolation, so what it
+    reads depends on ``tau`` alone, never on the other clocks.  The sweep
+    holds four nodes.  A path drops out once ``visit`` returns False; no node
+    is stepped that no running path needs, and the sweep returns early at
+    the first non-finite node.
+    """
+    tau = np.concatenate([c[1:] for c in clocks])
+    owner = np.concatenate([np.full(len(c) - 1, p) for p, c in enumerate(clocks)])
+    index = np.concatenate([np.arange(1, len(c)) for c in clocks])
+    h = cfg.dt
+    cfg0 = replace(cfg, noise="none", nu=0.0)
+    path0 = _zero_path(h, h)  # with nu = 0 the frozen W plays no part
+    nodes, first = [z0], 0  # nodes[i] is Z(h*(first + i))
+    running = [True] * len(clocks)
+    for q in np.lexsort((index, owner, tau)):
+        p = int(owner[q])
+        if not running[p]:
+            continue
+        j0 = max(int(math.floor(tau[q] / h)) - 1, 0)
+        while first + len(nodes) < j0 + 4:
+            with np.errstate(over="ignore", invalid="ignore"):
+                # a step into overflow gives the non-finite node checked next
+                z = step_damping(nodes[-1], 0.0, h, path0, cfg0)
+            if not np.isfinite(z.coeffs).all():
+                return
+            nodes.append(z)
+            if len(nodes) > 4:
+                nodes.pop(0)
+                first += 1
+        weights = _lagrange_weights(tau[q] / h - j0)
+        window = nodes[j0 - first:j0 - first + 4]
+        z = SpectralVelocity(sum(c * n.coeffs for c, n in zip(weights, window)), z0.N)
+        running[p] = visit(p, int(index[q]), z)
+
+
+def _run_clocked(u0: SpectralVelocity, cfg: SimConfig, paths: list,
+                 names: list) -> list[RunRecord]:
+    """Damping runs as the deterministic flow on each path's random clock.
+
+    With s = 0 and W frozen per step, ``u(t_k) = exp(-nu^2 t_k/2) Z(tau_k)``
+    with ``tau = stochastic.damping_clock(path, nu)`` and Z the nu = 0
+    solution from the projected datum, which one ``_clocked_sweep`` shares
+    between all the paths.  Records and statuses follow ``run``'s rules in
+    step order; a step from an index past the clock's end stops at the
+    exponent cap, and a run still going when the sweep meets a non-finite
+    node reads 'blowup' at its next step's end, sampled as infinite.
+    """
+    z0 = spectral.project_constraints(u0)
+    traces = [_Trace(cfg, path, name) for path, name in zip(paths, names)]
+    clocks = []
+    for trace in traces:  # W(0) = 0, so a clock runs at least to t_1
+        tau = stochastic.damping_clock(trace.path, cfg.nu)
+        clocks.append(tau if trace.start(z0) else tau[:1])
+
+    def visit(p: int, k: int, z: SpectralVelocity) -> bool:
+        trace = traces[p]
+        u = math.exp(-0.5 * cfg.nu ** 2 * trace.times[k]) * z
+        if trace.advance(k - 1, u) and k == len(clocks[p]) - 1:
+            return trace.stop(STATUS_EXPONENT_CAP, k)
+        return trace.status is None
+
+    _clocked_sweep(z0, cfg, clocks, visit)
+    for trace in traces:
+        if trace.status is None:  # the sweep met a non-finite node
+            k = trace.k + 1
+            trace.rows.append((float(trace.times[k]), float(trace.path.values[k]),
+                               cfg.radius.value(float(trace.times[k])),
+                               math.inf, math.inf, math.nan))
+            trace.stop(STATUS_BLOWUP, k)
+    return [trace.result() for trace in traces]
 
 
 def run_ensemble(u0: SpectralVelocity, cfg: SimConfig, n_paths: int, seed=None,
                  name: str = "") -> list[RunRecord]:
     """Independent runs over substream-seeded paths, in path-index order:
-    member ``i`` runs on ``sample_path(T, dt, path_seed(seed, i))``."""
+    member ``i`` runs on ``sample_path(T, dt, path_seed(seed, i))``, and
+    equals ``run`` on that path alone, for damping too."""
+    _check_truncation(u0, cfg)
     base_seed = cfg.seed if seed is None else seed
+    names = [f"{name}[{i}]" if name else f"path{i}" for i in range(n_paths)]
 
-    def one(i: int) -> RunRecord:
-        sub = stochastic.path_seed(base_seed, i)
-        path = (_zero_path(cfg.horizon, cfg.dt) if cfg.noise == "none"
-                else stochastic.sample_path(cfg.horizon, cfg.dt, sub))
-        return run(u0, cfg, path, name=f"{name}[{i}]" if name else f"path{i}")
+    def member_path(i: int) -> BrownianPath:
+        if cfg.noise == "none":
+            return _zero_path(cfg.horizon, cfg.dt)
+        return stochastic.sample_path(cfg.horizon, cfg.dt,
+                                      stochastic.path_seed(base_seed, i))
 
-    return [one(i) for i in range(n_paths)]
+    if cfg.noise == "damping":
+        return _run_clocked(u0, cfg, [member_path(i) for i in range(n_paths)], names)
+    return [run(u0, cfg, member_path(i), name=names[i]) for i in range(n_paths)]
 
 
 @dataclass
 class GlobalExperimentResult:
     records: list
     n_completed: int
+    n_completed_goodset: int  # completed and never off the grid good set
     completed_fraction: float
     target: float
     std_error: float
@@ -471,7 +590,8 @@ def run_global_experiment(v0: SpectralVelocity, epsilon: float, cfg: SimConfig,
     Sets alpha = -4*ln(epsilon) and beta = nu^2/4, verifies the largeness
     condition on nu against the supplied empirical constant (c_star for
     diffusion, c_sigma for damping), runs the ensemble, and reports the
-    completed fraction to compare against 1 - epsilon.
+    completed fraction to compare against 1 - epsilon, and the count of
+    completed paths that stayed in the grid good set.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
@@ -504,11 +624,12 @@ def run_global_experiment(v0: SpectralVelocity, epsilon: float, cfg: SimConfig,
         raise ThresholdError("global experiment needs a stochastic noise kind")
 
     records = run_ensemble(v0, replace(cfg, radius=sched), n_paths, seed=seed)
-    completed = sum(1 for r in records if r.status == STATUS_COMPLETED)
-    frac = completed / n_paths
+    completed = [r for r in records if r.status == STATUS_COMPLETED]
+    frac = len(completed) / n_paths
     return GlobalExperimentResult(
         records=records,
-        n_completed=completed,
+        n_completed=len(completed),
+        n_completed_goodset=sum(r.goodset for r in completed),
         completed_fraction=frac,
         target=1.0 - epsilon,
         std_error=stochastic.binomial_se(frac, n_paths),

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .gevrey import EXPONENT_CAP
+
 __all__ = [
     "BrownianPath",
     "GoodSetParams",
@@ -22,6 +24,7 @@ __all__ = [
     "path_seed",
     "sample_path",
     "first_exit",
+    "damping_clock",
     "good_set_indicator",
     "good_set_probability",
     "survival_paper_bound",
@@ -107,6 +110,27 @@ def first_exit(nu_w: np.ndarray, levels: np.ndarray) -> int | None:
     above = nu_w > levels
     i = int(np.argmax(above))
     return i if above[i] else None
+
+
+def damping_clock(path: BrownianPath, nu: float) -> np.ndarray:
+    """Random clock of the damping form at the grid times,
+    ``tau(t) = int_0^t exp(nu*W(r) - nu^2 r/2) dr`` with W frozen at each
+    step's left endpoint, as the stepper freezes it, so that every increment
+    ``exp(nu*W_k - nu^2 t_k/2) (2/nu^2) (1 - exp(-nu^2 h_k/2))`` is exact.
+
+    The sum stops at the first step index k with ``|nu*W_k| > EXPONENT_CAP``,
+    where a damping step stops at the exponent cap: the array then holds
+    tau(t_0), ..., tau(t_k) and is shorter than ``path.times``.  As t grows,
+    tau(t) tends to ``2/(nu^2 E)`` with E ~ Exp(1) (Dufresne 1990; Yor 1992),
+    so ``P(tau(inf) < x) = exp(-2/(nu^2 x))``.
+    """
+    nu_w = nu * path.values
+    capped = np.flatnonzero(np.abs(nu_w[:-1]) > EXPONENT_CAP)
+    n = int(capped[0]) if capped.size else len(nu_w) - 1
+    half = 0.5 * nu ** 2
+    times = path.times[:n + 1]
+    dtau = np.exp(nu_w[:n] - half * times[:-1]) * (-np.expm1(-half * np.diff(times)) / half)
+    return np.concatenate([[0.0], np.cumsum(dtau)])
 
 
 def good_set_indicator(path: BrownianPath, p: GoodSetParams):

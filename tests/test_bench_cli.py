@@ -477,6 +477,8 @@ dir = {outdir}
                     (tmp_path / "ens_runs.jsonl").read_text().strip().splitlines()]
             got = [r["goodset"] for r in runs]
             assert got == expected, text
+            assert report["n_completed_goodset"] == sum(
+                r["goodset"] and r["status"] == "completed" for r in runs)
 
     # The diffusion half of the criterion-08 pair as the `ensemble` benchmark
     # runs it: N=4 at radius alpha + eta = 3.05, so phi*|k|_max ~ 133 and

@@ -1,6 +1,8 @@
 """Steppers, radius schedules, run statuses, and back-transforms."""
 
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -429,3 +431,127 @@ class TestEnsembleAndGlobal:
         assert res.beta == pytest.approx(cfg.nu ** 2 / 4)
         assert res.target == pytest.approx(0.5)
         assert 0.0 <= res.completed_fraction <= 1.0
+        assert res.n_completed_goodset == sum(
+            r.status == "completed" and r.goodset for r in res.records)
+
+
+RECORD_FIELDS = ("times", "w_values", "phi", "gevrey_norm_u", "l2_norm_u",
+                 "gevrey_norm_v")
+
+
+def nonlinear_two_mode(N):
+    # (1,0,1) + (1,0,2) on u_1: the transport moves this datum by a large
+    # fraction of its size over the clock range of the runs below
+    return initial_data.two_mode(N, amplitude=1.5, mode_a=(1, 0, 1),
+                                 component_a=0, ratio=0.5, mode_b=(1, 0, 2),
+                                 component_b=0)
+
+
+def held_path(path, m):
+    """``path`` on a grid m times finer that holds W per coarse step."""
+    times = (path.dt / m) * np.arange(m * (len(path.times) - 1) + 1)
+    values = np.append(np.repeat(path.values[:-1], m), path.values[-1])
+    return BrownianPath(times=times, values=values, seed=None, dt=path.dt / m)
+
+
+def relative_error(u, ref):
+    return float(np.linalg.norm((u - ref).coeffs) / np.linalg.norm(ref.coeffs))
+
+
+class TestClockedDamping:
+    N, NU, T, DT = 4, 1.15, 0.4, 1e-2
+
+    def cfg(self, **kw):
+        return damping_cfg(N=self.N, nu=self.NU, T=self.T, dt=self.DT, **kw)
+
+    def paths(self, seed, n):
+        return [stochastic.sample_path(self.T, self.DT, stochastic.path_seed(seed, i))
+                for i in range(n)]
+
+    def test_accuracy_against_substepped_oracle(self):
+        # reference: per-path step_damping at 16 substeps per step with W
+        # held per coarse step, the frozen-W equation the clock solves
+        # exactly; a path that holds W per coarse step on a finer grid keeps
+        # that equation while the tau step h = dt halves
+        cfg, nu = self.cfg(), self.NU
+        paths = self.paths(77, 4)
+        u0 = spectral.project_constraints(nonlinear_two_mode(self.N))
+        refs = []
+        for path in paths:
+            u, states = u0, [u0]
+            for k in range(len(path.times) - 1):
+                for _ in range(16):
+                    u = dy.step_damping(u, float(path.times[k]), self.DT / 16, path, cfg)
+                states.append(u)
+            refs.append(states)
+        moved = max(relative_error(math.exp(0.5 * nu ** 2 * self.T) * s[-1], u0)
+                    for s in refs)
+        assert moved > 0.3
+
+        worst, l2_first = [], []
+        for m in (1, 2, 4):
+            fine = [held_path(path, m) for path in paths]
+            err = np.zeros(len(paths))
+
+            def visit(p, k, z):
+                if k % m == 0:
+                    u = math.exp(-0.5 * nu ** 2 * fine[p].times[k]) * z
+                    err[p] = max(err[p], relative_error(u, refs[p][k // m]))
+                    if m == 1 and p == 0:
+                        l2_first.append(gevrey.norm(u, "L2", GevreyParams(2.6, 1.0)))
+                return True
+
+            dy._clocked_sweep(u0, replace(cfg, dt=self.DT / m),
+                              [stochastic.damping_clock(f, nu) for f in fine], visit)
+            worst.append(err)
+        assert np.all(worst[0] <= 1e-3), worst[0]
+        assert np.all(worst[0] >= 10.0 * worst[1]), (worst[0], worst[1])
+        assert np.all(worst[1] >= 10.0 * worst[2]), (worst[1], worst[2])
+        # run() reads the same states off the same sweep
+        rec = dy.run(nonlinear_two_mode(self.N), cfg, paths[0])
+        np.testing.assert_array_equal(rec.l2_norm_u[1:], l2_first)
+
+    def test_members_do_not_depend_on_the_ensemble(self):
+        # member i of a damping ensemble, and of an ensemble over a reordered
+        # subset of the paths, is run() on its path alone, bitwise
+        cfg = self.cfg(seed=31)
+        u0 = nonlinear_two_mode(self.N)
+        paths = self.paths(31, 5)
+        clock_ends = [stochastic.damping_clock(p, self.NU)[-1] for p in paths]
+        assert max(clock_ends) > 1.5 * min(clock_ends)
+        alone = [dy.run(u0, cfg, p) for p in paths]
+        members = dy.run_ensemble(u0, cfg, 5)
+        subset = dy._run_clocked(u0, cfg, [paths[i] for i in (3, 0, 4)], ["", "", ""])
+        for a, b in zip(members + subset, alone + [alone[i] for i in (3, 0, 4)]):
+            for field in RECORD_FIELDS:
+                np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+            assert {**a.summary(), "name": ""} == {**b.summary(), "name": ""}
+
+    def test_nonfinite_node_reads_blowup(self, monkeypatch):
+        # a shared node that turns non-finite ends the sweep: each run whose
+        # next query needs that node reads blowup at that query's time,
+        # sampled as infinite, and no RuntimeWarning fires
+        cfg = self.cfg(seed=5)
+        u0 = nonlinear_two_mode(self.N)
+        paths = self.paths(5, 3)
+        before = [dy.run(u0, cfg, p) for p in paths]
+        real, calls = dy.step_damping, []
+
+        def failing(u, t, dt, path, cfg_):
+            calls.append(t)
+            out = real(u, t, dt, path, cfg_)
+            return SpectralVelocity(np.full_like(out.coeffs, np.nan), out.N) \
+                if len(calls) == 20 else out
+
+        monkeypatch.setattr(dy, "step_damping", failing)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            recs = dy.run_ensemble(u0, cfg, 3)
+        assert len(calls) == 20  # nothing is stepped past the bad node 20
+        for path, rec, ref in zip(paths, recs, before):
+            # the query at tau needs node floor(tau/h) + 2
+            tau = stochastic.damping_clock(path, self.NU)
+            k = int(np.argmax(np.floor(tau / self.DT) + 2 >= 20))
+            assert rec.status == "blowup" and rec.t_final == path.times[k]
+            assert rec.gevrey_norm_u[-1] == math.inf
+            np.testing.assert_array_equal(rec.gevrey_norm_u[:-1], ref.gevrey_norm_u[:k])

@@ -148,3 +148,39 @@ class TestGoodSetProbability:
         b = st.good_set_probability(params, 2.0, 0.01, 300, seed=9)
         assert a.estimate == b.estimate
 
+
+
+class TestDampingClock:
+    def test_increments_are_exact_per_frozen_step(self):
+        # W frozen at each left endpoint: the clock gains
+        # int exp(nu*W_k - nu^2 r/2) dr over [t_k, t_k + h] exactly
+        nu, dt = 1.5, 0.05
+        path = st.sample_path(0.5, dt, seed=8)
+        tau = st.damping_clock(path, nu)
+        t, w = path.times[:-1], path.values[:-1]
+        expect = np.exp(nu * w) * (2.0 / nu ** 2) * (
+            np.exp(-0.5 * nu ** 2 * t) - np.exp(-0.5 * nu ** 2 * (t + dt)))
+        assert tau[0] == 0.0 and len(tau) == len(path.times)
+        np.testing.assert_allclose(np.diff(tau), expect, rtol=1e-12)
+
+    def test_sum_stops_at_first_capped_step(self):
+        # |nu*W| = 3*300 passes the cap from index 2 (either sign): the clock
+        # holds tau_0..tau_2, the times a damping run reaches before its stop
+        for sign in (1.0, -1.0):
+            values = np.full(11, sign * 300.0)
+            values[:2] = 0.0
+            path = flat_path(values, dt=0.01)
+            with np.errstate(all="raise"):
+                tau = st.damping_clock(path, 3.0)
+            assert len(tau) == 3 and np.all(np.isfinite(tau))
+
+    def test_dufresne_yor_law(self):
+        # tau(inf) = 2/(nu^2 E) with E ~ Exp(1); at horizon 20 and nu = 2 the
+        # clock's unsummed tail is below exp(-30).  Seed fixed in advance.
+        nu, n = 2.0, 4000
+        tau = np.array([st.damping_clock(st.sample_path(20.0, 1e-3, st.path_seed(1990, i)),
+                                         nu)[-1] for i in range(n)])
+        for x in (0.25, 0.5, 1.0, 2.0):
+            p_hat = float(np.mean(tau < x))
+            exact = math.exp(-2.0 / (nu ** 2 * x))
+            assert abs(p_hat - exact) <= 3.0 * st.binomial_se(p_hat, n), (x, p_hat, exact)
