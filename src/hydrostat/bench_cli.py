@@ -9,8 +9,11 @@ Config files use a flat ``key = value`` grammar with ``[section]`` headers
 and ``#`` comments; ``CONFIG_KEYS`` names every accepted section and key.
 Outputs are a fixed-column CSV time series per run and JSON-lines
 summaries; identical config and seed reproduce byte-identical files.
-Ensemble members run one after another in path-index order; damping
-members share one clocked solve and equal their runs alone.  A bad config
+Diffusion ensemble members run on a pool of forked worker processes, one
+per CPU in the process's affinity mask (``taskset -c 0`` runs them one
+after another), and damping members share one clocked solve; every member
+equals its run alone and the records keep path-index order, so the output
+files do not depend on the worker count.  A bad config
 or argument (an unknown section, key or flag, or a bad value such as a
 non-finite step) exits with code 2.
 """

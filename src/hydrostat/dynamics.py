@@ -21,6 +21,7 @@ each u(t_k) is read off it by four-node cubic Lagrange interpolation.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -549,24 +550,63 @@ def _run_clocked(u0: SpectralVelocity, cfg: SimConfig, paths: list,
     return [trace.result() for trace in traces]
 
 
+def _member_path(cfg: SimConfig, base_seed, i: int) -> BrownianPath:
+    if cfg.noise == "none":
+        return _zero_path(cfg.horizon, cfg.dt)
+    return stochastic.sample_path(cfg.horizon, cfg.dt, stochastic.path_seed(base_seed, i))
+
+
+def _member(job: tuple, i: int) -> RunRecord:
+    """Member ``i`` of the ensemble job ``(u0, cfg, base_seed, names)``."""
+    u0, cfg, base_seed, names = job
+    return run(u0, cfg, _member_path(cfg, base_seed, i), name=names[i])
+
+
+_worker_job = None  # a pool worker's ensemble job, set by its initializer
+
+
+def _set_worker_job(*job) -> None:
+    global _worker_job
+    _worker_job = job
+
+
+def _worker_member(i: int) -> RunRecord:
+    return _member(_worker_job, i)
+
+
 def run_ensemble(u0: SpectralVelocity, cfg: SimConfig, n_paths: int, seed=None,
                  name: str = "") -> list[RunRecord]:
     """Independent runs over substream-seeded paths, in path-index order:
     member ``i`` runs on ``sample_path(T, dt, path_seed(seed, i))``, and
-    equals ``run`` on that path alone, for damping too."""
+    equals ``run`` on that path alone, for damping too.
+
+    Damping members share one clocked solve in this process.  Diffusion and
+    'none' members run on a pool of ``min(CPUs in this process's affinity
+    mask, n_paths)`` forked worker processes, and one after another when
+    that is 1 or the platform has no CPU affinity or fork.  Each member is
+    computed alone either way, so the records do not depend on the worker
+    count.  Workers are forked, not spawned, so they inherit the imported
+    package and the job: only a path index goes to a worker and only its
+    record comes back.  A member's error is raised here with its type and
+    message, and no worker outlives the call.
+    """
     _check_truncation(u0, cfg)
     base_seed = cfg.seed if seed is None else seed
     names = [f"{name}[{i}]" if name else f"path{i}" for i in range(n_paths)]
-
-    def member_path(i: int) -> BrownianPath:
-        if cfg.noise == "none":
-            return _zero_path(cfg.horizon, cfg.dt)
-        return stochastic.sample_path(cfg.horizon, cfg.dt,
-                                      stochastic.path_seed(base_seed, i))
-
     if cfg.noise == "damping":
-        return _run_clocked(u0, cfg, [member_path(i) for i in range(n_paths)], names)
-    return [run(u0, cfg, member_path(i), name=names[i]) for i in range(n_paths)]
+        return _run_clocked(
+            u0, cfg, [_member_path(cfg, base_seed, i) for i in range(n_paths)], names)
+    job = (u0, cfg, base_seed, names)
+    workers = min(len(os.sched_getaffinity(0)), n_paths) \
+        if hasattr(os, "sched_getaffinity") and hasattr(os, "fork") else 1
+    if workers > 1:  # imported here, so that callers that never pool do not pay for it
+        import concurrent.futures
+        import multiprocessing
+        with concurrent.futures.ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork"),
+                initializer=_set_worker_job, initargs=job) as pool:
+            return list(pool.map(_worker_member, range(n_paths)))
+    return [_member(job, i) for i in range(n_paths)]
 
 
 @dataclass

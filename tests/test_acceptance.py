@@ -252,8 +252,10 @@ def test_criterion_08_high_probability_globality(c_sigma_est, c_star_est):
         cond2 = doubled.completed_fraction >= base.completed_fraction - joint
         ok = ok and cond1 and cond2
         msgs.append(f"{kind}: fraction {base.completed_fraction:.3f} "
-                    f"(target >= {lower:.3f}), doubled-nu fraction "
-                    f"{doubled.completed_fraction:.3f}")
+                    f"(target >= {lower:.3f}; n_completed_goodset "
+                    f"{base.n_completed_goodset}/{n_paths}), doubled-nu fraction "
+                    f"{doubled.completed_fraction:.3f} (n_completed_goodset "
+                    f"{doubled.n_completed_goodset}/{n_paths})")
     report(8, ok, "; ".join(msgs))
 
 

@@ -552,6 +552,35 @@ normalize_phi = 3.0498475944637593
                             (out / "diffusion_runs.jsonl").read_bytes()))
         assert reports[0] == reports[1]
 
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                        reason="needs 2 CPUs to compare against a 1-CPU run")
+    @pytest.mark.parametrize("noise", ["diffusion", "damping"])
+    def test_outputs_do_not_depend_on_cpu_count(self, tmp_path, c_star_est, noise):
+        # the CLI pinned to one CPU (serial members) and to two (a pool of
+        # two workers) writes the same bytes; only the child is pinned
+        if noise == "diffusion":
+            text = self.ROUNDOFF_CONFIG + (
+                f"[ensemble]\nepsilon = 0.5\npaths = 8\nc_star = {c_star_est.value!r}\n")
+        else:
+            text = self.ENSEMBLE_CONFIG.format(c_sigma="0.001", paths=8, outdir=tmp_path)
+        cfg = write_config(tmp_path, text)
+        cpus = sorted(os.sched_getaffinity(0))
+        outputs = []
+        for pinned in (cpus[:1], cpus[:2]):
+            out = tmp_path / f"cpus{len(pinned)}"
+            res = subprocess.run(
+                [sys.executable, "-c",
+                 "import os, sys\n"
+                 f"os.sched_setaffinity(0, {set(pinned)!r})\n"
+                 "from hydrostat.bench_cli import main\n"
+                 "sys.exit(main(sys.argv[1:]))",
+                 "ensemble", "--config", cfg, "--seed", "3", "--out", str(out),
+                 "--quiet"], capture_output=True, text=True)
+            assert res.returncode == 0, res.stderr
+            outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+        assert len(outputs[0]) == 2
+        assert outputs[0] == outputs[1]
+
 
 class TestGoodsetCommand:
     def test_record_fields_and_anchors(self):

@@ -1,6 +1,7 @@
 """Steppers, radius schedules, run statuses, and back-transforms."""
 
 import math
+import multiprocessing
 import warnings
 from dataclasses import replace
 
@@ -382,6 +383,10 @@ class TestDiffusionMonotonicity:
         assert np.all(np.diff(rec.gevrey_norm_u) <= 1e-9 * rec.gevrey_norm_u[0])
 
 
+class MemberFailure(RuntimeError):
+    """A member's error; at module level, so a pool worker can send it back."""
+
+
 class TestEnsembleAndGlobal:
     def test_ensemble_deterministic_and_ordered(self):
         N = 4
@@ -410,6 +415,27 @@ class TestEnsembleAndGlobal:
                           "l2_norm_u", "gevrey_norm_v"):
                 np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
             assert {**a.summary(), "name": ""} == b.summary()
+
+    def test_member_error_reaches_caller_and_no_worker_remains(self, monkeypatch):
+        # patched before the pool forks, so workers run the patched member;
+        # the error keeps its type and message, and no worker outlives the
+        # call, after a normal ensemble or a failed one
+        N = 4
+        cfg = diffusion_cfg(N=N, T=0.02, dt=2e-3)
+        u0 = small_two_mode(N, amplitude=1e-3)
+        assert len(dy.run_ensemble(u0, cfg, 4)) == 4
+        assert multiprocessing.active_children() == []
+        real = dy.run
+
+        def failing(u0_, cfg_, path, name=""):
+            if name == "path3":
+                raise MemberFailure("member 3 failed")
+            return real(u0_, cfg_, path, name=name)
+
+        monkeypatch.setattr(dy, "run", failing)
+        with pytest.raises(MemberFailure, match="^member 3 failed$"):
+            dy.run_ensemble(u0, cfg, 6)
+        assert multiprocessing.active_children() == []
 
     def test_global_experiment_threshold_error(self):
         N = 4
