@@ -280,6 +280,8 @@ def cmd_ensemble(args) -> int:
     ens = config["ensemble"]
     name = config["experiment"].get("name", "ensemble")
     epsilon = ens["epsilon"]
+    if not 0.0 < epsilon < 1.0:
+        raise ConfigError(f"ensemble.epsilon: must lie in (0, 1), got {epsilon}")
     n_paths = ens["paths"] if args.paths is None else args.paths
     if n_paths < 1:
         raise ConfigError(f"{'ensemble.paths' if args.paths is None else '--paths'}: "

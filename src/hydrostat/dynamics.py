@@ -10,12 +10,13 @@ constraints.  Pathwise accuracy is therefore limited by the path
 regularity; self-convergence (not exact-solution convergence) is the
 verifiable property.
 
-Damping form (s = 0): u' = -0.5*nu^2 u - exp(nu*W) P Q(u, u).  With W frozen
-per step, u(t) = exp(-nu^2 t/2) Z(tau(t)), where Z solves the nu = 0
-equation and tau is the path's clock ``stochastic.damping_clock``, exact
-per step.  So damping runs do not step their paths: one Z, stepped by the
-nu = 0 stepper on the tau grid n*dt, serves every path of an ensemble, and
-each u(t_k) is read off it by four-node cubic Lagrange interpolation.
+Damping form (s = 0, the scalar case of the same conjugation):
+u' = -0.5*nu^2 u - exp(nu*W) P Q(u, u).  With W frozen per step,
+u(t) = exp(-nu^2 t/2) Z(tau(t)), where Z solves the nu = 0 equation and tau
+is the path's clock ``stochastic.damping_clock``, exact per step.  So
+damping runs do not step their paths: one Z, stepped by ``step_damping`` on
+the tau grid n*dt, serves every path of an ensemble, and each u(t_k) is
+read off it by four-node cubic Lagrange interpolation.
 """
 
 from __future__ import annotations
@@ -63,6 +64,12 @@ class ThresholdError(ValueError):
     """Experiment parameters violate a required smallness/largeness condition."""
 
 
+def _check_finite(obj, *names: str) -> None:
+    for name in names:
+        if not math.isfinite(getattr(obj, name)):
+            raise ValueError(f"{name} must be finite, got {getattr(obj, name)}")
+
+
 @dataclass(frozen=True)
 class RadiusSchedule:
     """Moving Gevrey/analytic radius.
@@ -88,6 +95,7 @@ class RadiusSchedule:
     def __post_init__(self):
         if self.kind not in ("linear", "constant", "damping"):
             raise ValueError(f"unknown radius schedule kind {self.kind!r}")
+        _check_finite(self, "alpha", "beta", "phi0", "nu", "c_sigma", "v0_norm", "eta")
         if self.eta < 0.0:
             raise ValueError("eta must be non-negative")
         if self.kind == "linear" and self.alpha <= 0.0:
@@ -161,6 +169,7 @@ class SimConfig:
     def __post_init__(self):
         if self.noise not in NOISE_KINDS:
             raise ValueError(f"noise must be one of {NOISE_KINDS}, got {self.noise!r}")
+        _check_finite(self, "nu", "sigma", "blowup_factor")
         if self.n_modes < 1 or not (0.0 < self.dt < math.inf and 0.0 < self.horizon < math.inf):
             raise ValueError("n_modes must be positive and dt, horizon positive and "
                              f"finite, got dt={self.dt}, horizon={self.horizon}")
@@ -245,30 +254,27 @@ def twisted_transport(u: SpectralVelocity, nu: float, w: float,
     ``exp(-nu*w*A^s) P Q(v, v)`` with ``v = exp(nu*w*A^s) u``.
 
     The one implementation shared by the steppers, the mild solution map and
-    the twisted-estimate probes.  For ``s = 0`` the conjugation is the scalar
-    factor ``exp(nu*w)``.  Raises ``ExponentCapError`` when ``|nu*w|`` would
-    overflow the weight at the lattice corner, in both branches.
+    the twisted-estimate probes; at ``s = 0`` it is ``exp(nu*w) P Q(u, u)``,
+    as ``|k|^0 = 1``.  Raises ``ExponentCapError`` when ``|nu*w|`` would
+    overflow the weight at the lattice corner.
     """
     gevrey.check_exponent_cap(abs(nu * w), s, u.N)
-    if nu * w == 0.0 or s == 0.0:
-        scale = math.exp(nu * w) if s == 0.0 else 1.0
-        q = spectral.transport_bilinear(u)
-        return scale * spectral.hydrostatic_leray(q)
+    if nu * w == 0.0:
+        return spectral.hydrostatic_leray(spectral.transport_bilinear(u))
     v = gevrey.noise_transform(u, nu, w, s, "inverse")
     q = spectral.transport_bilinear(v)
     pq = spectral.hydrostatic_leray(q)
     return gevrey.noise_transform(pq, nu, w, s, "forward")
 
 
-def _ifrk4_step(u: SpectralVelocity, t: float, dt: float, path: BrownianPath,
-                cfg: SimConfig, half_factor, s: float) -> SpectralVelocity:
-    """One integrating-factor RK4 step with W frozen at time t: exact linear
+def _ifrk4_step(u: SpectralVelocity, dt: float, half_factor, nu: float, w: float,
+                s: float) -> SpectralVelocity:
+    """One integrating-factor RK4 step with W frozen at ``w``: exact linear
     half-step factor ``half_factor`` (array or scalar), explicit RK4 on the
     twisted transport of order ``s``, then re-projection."""
-    w = path.value_at(t)
 
     def nonlin(x: SpectralVelocity) -> SpectralVelocity:
-        return -twisted_transport(x, cfg.nu, w, s)
+        return -twisted_transport(x, nu, w, s)
 
     def E(x: SpectralVelocity) -> SpectralVelocity:
         return SpectralVelocity(x.coeffs * half_factor, x.N)
@@ -296,34 +302,27 @@ def step_diffusion(u: SpectralVelocity, t: float, dt: float, path: BrownianPath,
                    cfg: SimConfig) -> SpectralVelocity:
     """One step of the diffusion-form equation with W frozen at time t."""
     eh = _diffusion_half_factor(u.N, cfg.s, cfg.nu, dt)
-    return _ifrk4_step(u, t, dt, path, cfg, eh, cfg.s)
+    return _ifrk4_step(u, dt, eh, cfg.nu, path.value_at(t), cfg.s)
 
 
-def step_damping(u: SpectralVelocity, t: float, dt: float, path: BrownianPath,
-                 cfg: SimConfig) -> SpectralVelocity:
-    """One step of the damping-form equation (scalar factors).  Runs take it
-    at nu = 0 only, for the deterministic baseline and the clocked solve of
-    damping runs; at nu > 0 it is the per-path reference of the tests."""
-    eh = math.exp(-0.25 * cfg.nu ** 2 * dt)
-    return _ifrk4_step(u, t, dt, path, cfg, eh, 0.0)
+def step_damping(u: SpectralVelocity, dt: float) -> SpectralVelocity:
+    """One step of the nu = 0 equation ``u' = -P Q(u, u)``, the step of the
+    deterministic baseline and of the clocked solve of damping runs."""
+    return _ifrk4_step(u, dt, 1.0, 0.0, 0.0, 0.0)
 
 
 def recover_solution(u: SpectralVelocity, w: float, cfg: SimConfig,
                      t: float = 0.0) -> SpectralVelocity:
-    """Back-transform to the original variables, V = inverse multiplier of U.
+    """Back-transform to the original variables, ``V = exp(nu*W*A^s) U``.
 
     For diffusion the inverse multiplier is only bounded relative to the
     tracked radius when nu*W <= phi(t) + eta; otherwise raises.
     """
-    if cfg.noise == "diffusion":
-        if cfg.nu * w > cfg.radius.value(t) + 1e-12:
-            raise RadiusViolationError(
-                f"nu*W = {cfg.nu * w:.6g} exceeds tracked radius "
-                f"{cfg.radius.value(t):.6g} at t = {t:.6g}")
-        return gevrey.noise_transform(u, cfg.nu, w, cfg.s, "inverse")
-    if cfg.noise == "damping":
-        return math.exp(cfg.nu * w) * u
-    return u.copy()
+    if cfg.noise == "diffusion" and cfg.nu * w > cfg.radius.value(t) + 1e-12:
+        raise RadiusViolationError(
+            f"nu*W = {cfg.nu * w:.6g} exceeds tracked radius "
+            f"{cfg.radius.value(t):.6g} at t = {t:.6g}")
+    return gevrey.noise_transform(u, cfg.nu, w, cfg.s, "inverse")
 
 
 def _zero_path(T: float, dt: float) -> BrownianPath:
@@ -363,10 +362,8 @@ class _Trace:
                 v = recover_solution(uk, w, cfg, t)
                 gv_val = gevrey.norm(
                     v, "Gevrey", GevreyParams(cfg.sigma, cfg.norm_s, cfg.radius.eta))
-            elif cfg.noise == "damping":
+            else:  # s = 0: the scalar exp(nu*W), 1 for 'none'
                 gv_val = math.exp(cfg.nu * w) * gu
-            else:
-                gv_val = gu
         except (RadiusViolationError, ExponentCapError, OverflowError):
             gv_val = math.nan
         self.rows.append((t, w, cfg.radius.value(t), gu, l2, gv_val))
@@ -449,14 +446,15 @@ def run(u0: SpectralVelocity, cfg: SimConfig, path: BrownianPath | None = None,
     if cfg.noise == "damping":
         return _run_clocked(u0, cfg, [path], [name])[0]
     trace = _Trace(cfg, path, name)
-    step = step_diffusion if cfg.noise == "diffusion" else step_damping
     times = path.times
     u = spectral.project_constraints(u0)
     running = trace.start(u)
     while running:
         k = trace.k
+        dt = float(times[k + 1] - times[k])
         try:
-            u = step(u, float(times[k]), float(times[k + 1] - times[k]), path, cfg)
+            u = step_diffusion(u, float(times[k]), dt, path, cfg) \
+                if cfg.noise == "diffusion" else step_damping(u, dt)
         except ExponentCapError:
             trace.stop(STATUS_EXPONENT_CAP, k)
             break
@@ -476,7 +474,7 @@ def _clocked_sweep(z0: SpectralVelocity, cfg: SimConfig, clocks: list, visit) ->
     """Hand ``Z(clocks[p][k])`` to ``visit(p, k, z)`` for every k >= 1, in
     increasing clock order, where Z is the nu = 0 solution from ``z0``.
 
-    Z is stepped by ``step_damping`` at nu = 0 on the grid ``n*h``,
+    Z is stepped by ``step_damping`` on the grid ``n*h``,
     ``h = cfg.dt``, and a query ``tau`` is read off the four nodes from
     ``max(floor(tau/h) - 1, 0)`` by cubic Lagrange interpolation, so what it
     reads depends on ``tau`` alone, never on the other clocks.  The sweep
@@ -488,8 +486,6 @@ def _clocked_sweep(z0: SpectralVelocity, cfg: SimConfig, clocks: list, visit) ->
     owner = np.concatenate([np.full(len(c) - 1, p) for p, c in enumerate(clocks)])
     index = np.concatenate([np.arange(1, len(c)) for c in clocks])
     h = cfg.dt
-    cfg0 = replace(cfg, noise="none", nu=0.0)
-    path0 = _zero_path(h, h)  # with nu = 0 the frozen W plays no part
     nodes, first = [z0], 0  # nodes[i] is Z(h*(first + i))
     running = [True] * len(clocks)
     for q in np.lexsort((index, owner, tau)):
@@ -500,7 +496,7 @@ def _clocked_sweep(z0: SpectralVelocity, cfg: SimConfig, clocks: list, visit) ->
         while first + len(nodes) < j0 + 4:
             with np.errstate(over="ignore", invalid="ignore"):
                 # a step into overflow gives the non-finite node checked next
-                z = step_damping(nodes[-1], 0.0, h, path0, cfg0)
+                z = step_damping(nodes[-1], h)
             if not np.isfinite(z.coeffs).all():
                 return
             nodes.append(z)

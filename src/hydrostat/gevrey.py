@@ -47,8 +47,8 @@ class GevreyParams:
     def __post_init__(self):
         if not 0.0 <= self.s <= 1.0:
             raise ValueError(f"s must lie in [0, 1], got {self.s}")
-        if self.sigma <= 0.0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not 0.0 < self.sigma < np.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         if self.phi < 0.0:
             raise ValueError(f"phi must be non-negative, got {self.phi}")
 

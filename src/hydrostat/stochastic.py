@@ -72,8 +72,9 @@ class GoodSetParams:
     nu: float
 
     def __post_init__(self):
-        if self.alpha <= 0.0 or self.beta <= 0.0 or self.nu <= 0.0:
-            raise ValueError("alpha, beta, nu must all be positive")
+        if not all(0.0 < x < math.inf for x in (self.alpha, self.beta, self.nu)):
+            raise ValueError("alpha, beta, nu must all be positive and finite, got "
+                             f"{self.alpha}, {self.beta}, {self.nu}")
 
 
 def path_seed(seed, index: int) -> np.random.SeedSequence:

@@ -39,6 +39,25 @@ def no_transport(monkeypatch):
 
 
 @pytest.fixture
+def run_states(monkeypatch):
+    """``run_states(u0, cfg, path)`` runs ``dynamics.run`` and returns the
+    states it checks after each step, ``{k: u(t_k)}`` for k >= 1."""
+    advance = dynamics._Trace.advance
+
+    def collect(u0, cfg, path):
+        states = {}
+
+        def spy(trace, k, u):
+            states[k + 1] = u
+            return advance(trace, k, u)
+
+        monkeypatch.setattr(dynamics._Trace, "advance", spy)
+        dynamics.run(u0, cfg, path)
+        return states
+    return collect
+
+
+@pytest.fixture
 def projected_field():
     def make(N=8, seed=0, decay=3.5, amplitude=1.0):
         return spectral.project_constraints(

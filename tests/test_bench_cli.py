@@ -357,6 +357,28 @@ beta = {beta}
         cfg, _, _ = bench_cli.build_sim(bench_cli.load_config(ok))
         assert cfg.radius.beta == 0.49
 
+    @pytest.mark.parametrize("noise,key,value", [
+        ("diffusion", "nu", "nan"), ("diffusion", "nu", "inf"),
+        ("damping", "nu", "nan"), ("damping", "sigma", "nan"),
+        ("damping", "sigma", "inf"), ("damping", "alpha", "nan"),
+        ("none", "blowup_factor", "nan")])
+    def test_non_finite_model_parameter_is_config_error(self, tmp_path, capsys,
+                                                        noise, key, value):
+        # each of these ran on to a blowup, a traceback or a clean exit
+        text = {"diffusion": self.DIFFUSION_CONFIG.format(beta=0.1),
+                "damping": TestEnsemble.ENSEMBLE_CONFIG.format(
+                    c_sigma="0.001", paths=2, outdir=tmp_path / "out"),
+                "none": BASE_CONFIG.format(name="nan", family="two_mode",
+                                           amplitude="0.01", outdir=tmp_path / "out")}[noise]
+        text = re.sub(rf"^{key} = .*\n", "", text, flags=re.M)
+        text = text.replace("[sim]\n", f"[sim]\n{key} = {value}\n")
+        cfg = write_config(tmp_path, text)
+        assert bench_cli.main(["simulate", "--config", cfg, "--quiet"]) \
+            == bench_cli.EXIT_CONFIG
+        # sigma is read by the datum's norm before the SimConfig checks it
+        assert re.fullmatch(rf"config error: sim: {key} must be (positive and )?"
+                            rf"finite, got {value}\n", capsys.readouterr().err)
+
     def test_missing_config_flag(self):
         res = run_cli(["simulate"])
         assert res.returncode == bench_cli.EXIT_CONFIG
@@ -438,6 +460,17 @@ dir = {outdir}
             c_sigma="estimate", paths=2, outdir=tmp_path))
         assert bench_cli.main(["ensemble", "--config", cfg, "--quiet"]) == 0
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("epsilon", ["1.5", "0", "nan"])
+    def test_epsilon_out_of_range_is_config_error(self, tmp_path, capsys, epsilon):
+        text = self.ENSEMBLE_CONFIG.format(c_sigma="0.001", paths=2,
+                                           outdir=tmp_path / "out")
+        cfg = write_config(tmp_path, text.replace("epsilon = 0.5", f"epsilon = {epsilon}"))
+        assert bench_cli.main(["ensemble", "--config", cfg, "--quiet"]) \
+            == bench_cli.EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            f"config error: ensemble.epsilon: must lie in (0, 1), got {float(epsilon)}\n"
+        assert list(tmp_path.iterdir()) == [tmp_path / "cfg.ini"]
 
     def test_radius_past_cap_is_config_error(self, tmp_path, capsys):
         # epsilon = 0.01 sets alpha = 18.42, so with eta the threshold norm
@@ -609,6 +642,17 @@ class TestGoodsetCommand:
     def test_invalid_params(self):
         res = run_cli(["goodset", "--alpha", "-1", "--beta", "1", "--nu", "1"])
         assert res.returncode == bench_cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("flag", ["--alpha", "--beta", "--nu"])
+    def test_non_finite_param_is_config_error(self, capsys, flag):
+        argv = {"--alpha": "2", "--beta": "0.5", "--nu": "1"}
+        argv[flag] = "nan"
+        assert bench_cli.main(["goodset", *(x for kv in argv.items() for x in kv),
+                               "--T", "1", "--dt", "0.01", "--paths", "100"]) \
+            == bench_cli.EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert err.startswith("config error: goodset: alpha, beta, nu must all be "
+                              "positive and finite") and out == ""
 
     @pytest.mark.parametrize("flags", [["--dt", "0"], ["--dt", "-0.01"],
                                        ["--T", "-1"], ["--T", "inf"], ["--T", "0"]],

@@ -106,6 +106,22 @@ class TestSimConfigValidation:
                       radius=RadiusSchedule.constant(1.0), n_modes=4,
                       dt=dt, horizon=horizon)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["nu", "sigma", "blowup_factor"])
+    @pytest.mark.parametrize("make_cfg", [diffusion_cfg, damping_cfg],
+                             ids=["diffusion", "damping"])
+    def test_non_finite_model_parameter(self, make_cfg, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite, got {value}"):
+            replace(make_cfg(), **{field: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["alpha", "beta", "phi0", "nu", "c_sigma",
+                                       "v0_norm", "eta"])
+    def test_non_finite_radius_parameter(self, field, value):
+        base = dict(phi0=0.8, alpha=1.0, beta=1.0, nu=3.0, c_sigma=0.5, v0_norm=0.1)
+        with pytest.raises(ValueError, match=f"{field} must be finite, got {value}"):
+            RadiusSchedule.damping(**{**base, field: value})
+
 
 class TestSteppers:
     def test_zero_state_stays_zero(self):
@@ -113,8 +129,7 @@ class TestSteppers:
         path = stochastic.sample_path(cfg.horizon, cfg.dt, 0)
         out = dy.step_diffusion(SpectralVelocity.zeros(4), 0.0, cfg.dt, path, cfg)
         assert np.abs(out.coeffs).max() == 0.0
-        cfgd = damping_cfg(N=4)
-        out = dy.step_damping(SpectralVelocity.zeros(4), 0.0, cfgd.dt, path, cfgd)
+        out = dy.step_damping(SpectralVelocity.zeros(4), cfg.dt)
         assert np.abs(out.coeffs).max() == 0.0
 
     def test_linear_exactness_diffusion(self, no_transport):
@@ -130,16 +145,17 @@ class TestSteppers:
         np.testing.assert_allclose(u.coeffs, expect, rtol=0,
                                    atol=1e-13 * np.abs(expect).max())
 
-    def test_linear_exactness_damping(self, no_transport):
+    def test_linear_exactness_damping(self, no_transport, run_states):
+        # a damping run applies exp(-nu^2 t/2) to the clocked nu = 0 solve
         N = 6
         u0 = small_two_mode(N)
-        cfg = damping_cfg(N=N)
-        path = stochastic.sample_path(cfg.horizon, cfg.dt, 1)
-        u = u0
-        for k in range(20):
-            u = dy.step_damping(u, k * cfg.dt, cfg.dt, path, cfg)
-        expect = u0.coeffs * math.exp(-0.5 * cfg.nu ** 2 * 20 * cfg.dt)
-        np.testing.assert_allclose(u.coeffs, expect, rtol=1e-13)
+        cfg = damping_cfg(N=N, T=0.02)
+        path = dy._zero_path(cfg.horizon, cfg.dt)
+        states = run_states(u0, cfg, path)
+        assert sorted(states) == list(range(1, 21))
+        for k, u in states.items():
+            expect = u0.coeffs * math.exp(-0.5 * cfg.nu ** 2 * path.times[k])
+            np.testing.assert_allclose(u.coeffs, expect, rtol=1e-13)
 
     def test_richardson_self_convergence(self):
         # one-step local error of the four-stage scheme: halving the step
@@ -147,15 +163,10 @@ class TestSteppers:
         N = 6
         u0 = spectral.project_constraints(
             spectral.random_coefficients(N, 5, decay=4.0, amplitude=0.5))
-        cfg = SimConfig(noise="none", nu=0.0, s=0.0, sigma=2.6,
-                        radius=RadiusSchedule.constant(0.3), n_modes=N,
-                        dt=1e-3, horizon=1.0)
-        path = dy._zero_path(1.0, 1e-3)
         errs = []
         for h in (4e-3, 2e-3, 1e-3):
-            full = dy.step_damping(u0, 0.0, h, path, cfg)
-            half = dy.step_damping(dy.step_damping(u0, 0.0, h / 2, path, cfg),
-                                   h / 2, h / 2, path, cfg)
+            full = dy.step_damping(u0, h)
+            half = dy.step_damping(dy.step_damping(u0, h / 2), h / 2)
             errs.append(np.abs(full.coeffs - half.coeffs).max())
         orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all(orders > 3.5), f"observed orders {orders}"
@@ -176,6 +187,14 @@ class TestTwistedTransport:
     def test_output_slab_divergence_free(self, projected_field, w, s):
         # the unprojected transport of this field has O(1) slab divergence
         check_invariants(dy.twisted_transport(projected_field(N=6, seed=7), 2.0, w, s))
+
+    @pytest.mark.parametrize("w", [0.7, -1.3])
+    def test_scalar_noise_is_a_factor(self, projected_field, w):
+        # at s = 0 the conjugation multipliers are the scalars exp(-+nu*w)
+        u = projected_field(N=6, seed=7)
+        expect = math.exp(2.0 * w) * spectral.hydrostatic_leray(spectral.transport_bilinear(u))
+        got = dy.twisted_transport(u, 2.0, w, 0.0)
+        assert relative_error(got, expect) <= 1e-13
 
 
 class TestRecoverSolution:
@@ -480,6 +499,28 @@ def held_path(path, m):
     return BrownianPath(times=times, values=values, seed=None, dt=path.dt / m)
 
 
+def frozen_w_rk4(u0, path, nu, m):
+    """States at the grid times of u' = -nu^2/2 u - exp(nu*W_k) P Q(u, u),
+    W held at W_k over step k, by explicit RK4 at m substeps per step with
+    a projection after each substep."""
+    def rhs(u, scale):
+        pq = spectral.hydrostatic_leray(spectral.transport_bilinear(u))
+        return (-0.5 * nu ** 2) * u - scale * pq
+
+    u, states = u0, [u0]
+    for k in range(len(path.times) - 1):
+        scale = math.exp(nu * path.values[k])
+        h = (path.times[k + 1] - path.times[k]) / m
+        for _ in range(m):
+            a = rhs(u, scale)
+            b = rhs(u + (0.5 * h) * a, scale)
+            c = rhs(u + (0.5 * h) * b, scale)
+            d = rhs(u + h * c, scale)
+            u = spectral.project_constraints(u + (h / 6.0) * (a + 2.0 * (b + c) + d))
+        states.append(u)
+    return states
+
+
 def relative_error(u, ref):
     return float(np.linalg.norm((u - ref).coeffs) / np.linalg.norm(ref.coeffs))
 
@@ -495,21 +536,14 @@ class TestClockedDamping:
                 for i in range(n)]
 
     def test_accuracy_against_substepped_oracle(self):
-        # reference: per-path step_damping at 16 substeps per step with W
-        # held per coarse step, the frozen-W equation the clock solves
-        # exactly; a path that holds W per coarse step on a finer grid keeps
-        # that equation while the tau step h = dt halves
+        # reference: the frozen-W equation the clock solves exactly, stepped
+        # per path for u itself, not on the clock, by explicit RK4 at 16
+        # substeps per step; a path that holds W per coarse step on a finer
+        # grid keeps that equation while the tau step h = dt halves
         cfg, nu = self.cfg(), self.NU
         paths = self.paths(77, 4)
         u0 = spectral.project_constraints(nonlinear_two_mode(self.N))
-        refs = []
-        for path in paths:
-            u, states = u0, [u0]
-            for k in range(len(path.times) - 1):
-                for _ in range(16):
-                    u = dy.step_damping(u, float(path.times[k]), self.DT / 16, path, cfg)
-                states.append(u)
-            refs.append(states)
+        refs = [frozen_w_rk4(u0, path, nu, 16) for path in paths]
         moved = max(relative_error(math.exp(0.5 * nu ** 2 * self.T) * s[-1], u0)
                     for s in refs)
         assert moved > 0.3
@@ -563,9 +597,9 @@ class TestClockedDamping:
         before = [dy.run(u0, cfg, p) for p in paths]
         real, calls = dy.step_damping, []
 
-        def failing(u, t, dt, path, cfg_):
-            calls.append(t)
-            out = real(u, t, dt, path, cfg_)
+        def failing(u, dt):
+            calls.append(dt)
+            out = real(u, dt)
             return SpectralVelocity(np.full_like(out.coeffs, np.nan), out.N) \
                 if len(calls) == 20 else out
 

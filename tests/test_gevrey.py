@@ -63,6 +63,11 @@ class TestNoiseTransform:
 
 
 class TestNorms:
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, 0.0])
+    def test_sigma_positive_and_finite(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            GevreyParams(sigma, 1.0, 0.0)
+
     def test_two_cosine_closed_form(self):
         # f = 2 cos(2*pi*x1): unit coefficients at +-(1,0,0); sigma*s = 1
         u = single_mode_pair(value=1.0)

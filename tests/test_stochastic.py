@@ -127,6 +127,12 @@ class TestGoodSetProbability:
         est = st.good_set_probability(params, T=1.0, dt=1e-2, n_paths=200, seed=1)
         assert est.estimate == 1.0
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["alpha", "beta", "nu"])
+    def test_non_finite_params_rejected(self, field, value):
+        with pytest.raises(ValueError, match="positive and finite"):
+            GoodSetParams(**{"alpha": 2.0, "beta": 0.5, "nu": 1.0, field: value})
+
     def test_min_paths_enforced(self):
         with pytest.raises(ValueError):
             st.good_set_probability(GoodSetParams(1, 1, 1), 1.0, 0.1, 50)
