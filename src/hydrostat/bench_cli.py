@@ -252,16 +252,17 @@ def cmd_simulate(args) -> int:
     name = config["experiment"].get("name", "run")
     seeds = [args.seed] if args.seed is not None else \
         list(sim.get("seeds") or [sim.get("seed", 0)])
-    out = _ensure_outdir(args.out or config["output"].get("dir", "out"))
-
-    worst = EXIT_OK
-    summaries = []
     base_cfg, u0, _ = build_sim(config, seed_override=seeds[0])
     # `ensemble` replaces the radius, so only `simulate` runs on this beta
     radius = base_cfg.radius
     if base_cfg.noise == "diffusion" and radius.kind == "linear" \
             and radius.beta >= 0.5 * base_cfg.nu ** 2:
         raise ConfigError("sim: diffusion requires beta < nu^2/2")
+    # created only once the config is known to be valid
+    out = _ensure_outdir(args.out or config["output"].get("dir", "out"))
+
+    worst = EXIT_OK
+    summaries = []
     for seed in seeds:
         record = dynamics.run(u0, replace(base_cfg, seed=seed),
                               name=f"{name}_seed{seed}")
@@ -286,7 +287,6 @@ def cmd_ensemble(args) -> int:
     if n_paths < 1:
         raise ConfigError(f"{'ensemble.paths' if args.paths is None else '--paths'}: "
                           "must be at least 1")
-    out = _ensure_outdir(args.out or config["output"].get("dir", "out"))
 
     cfg, u0, c_sigma = build_sim(config, seed_override=args.seed)
     c_star = _resolve(ens.get("c_star"), analysis.estimate_c_star, cfg.sigma, cfg.s)
@@ -300,6 +300,8 @@ def cmd_ensemble(args) -> int:
         raise ConfigError(f"ensemble: radius past the exponent cap at "
                           f"N = {cfg.n_modes}: {exc}") from exc
 
+    # created only after the experiment's own threshold checks have passed
+    out = _ensure_outdir(args.out or config["output"].get("dir", "out"))
     (out / f"{name}_runs.jsonl").write_text(
         "\n".join(summary_line(r) for r in result.records) + "\n")
     _, half = stochastic.binomial_ci(result.n_completed, n_paths)

@@ -194,6 +194,8 @@ class SimConfig:
         else:  # deterministic baseline
             if self.nu != 0.0:
                 raise ValueError("noise 'none' requires nu = 0")
+            if self.s != 0.0:
+                raise ValueError(f"noise 'none' requires s = 0, got {self.s}")
 
     @property
     def norm_s(self) -> float:

@@ -68,10 +68,18 @@ def check_exponent_cap(phi: float, s: float, N: int) -> None:
         )
 
 
+@lru_cache(maxsize=32)
+def _abs_k_pow(N: int, p: float) -> np.ndarray:
+    """``|k|^p`` on the truncated lattice, read-only, built once per ``(N, p)``."""
+    out = abs_k(N) ** p
+    out.setflags(write=False)
+    return out
+
+
 def exp_multiplier(field, phi: float, s: float):
     """Multiply each coefficient by exp(phi * |k|^s); phi may be negative."""
     check_exponent_cap(phi, s, field.N)
-    return replace(field, coeffs=field.coeffs * np.exp(phi * abs_k(field.N) ** s))
+    return replace(field, coeffs=field.coeffs * np.exp(phi * _abs_k_pow(field.N, s)))
 
 
 def noise_transform(field, nu: float, w: float, s: float, direction: str = "forward"):
@@ -125,9 +133,8 @@ def norm(field, kind: str, params: GevreyParams) -> float:
         raise ExponentCapError(
             f"squared-weight exponent 2*phi*|k|_max^s = {exponent:.3g} exceeds cap "
             f"{EXPONENT_CAP:.3g} (phi={params.phi:.6g}, s={params.s:.3g}, N={N})")
-    kk = abs_k(N)
-    r = params.sigma * params.s
-    weighted = np.exp(params.phi * kk ** params.s) * (kk ** r) * a
+    weighted = np.exp(params.phi * _abs_k_pow(N, params.s)) \
+        * _abs_k_pow(N, params.sigma * params.s) * a
     total = _ordered_sum(weighted * weighted, N)
     if kind == "Gevrey":
         total += _ordered_sum(a * a, N)

@@ -27,6 +27,17 @@ which ``project_constraints`` guarantees, and they run one axis at a time
 over the 1-D lines that carry retained modes.  The ``m3 < 0`` half of a
 product is rebuilt as the conjugate of the flipped ``m3 > 0`` half.
 
+No pass runs along a middle axis.  numpy batches an FFT over the axes on
+both sides of its transform axis, and it can merge them into one loop only
+when they all lie on one side; around a middle axis it runs one short loop
+per outer index, which at N = 4 doubles the cost of a pass.  So the y
+passes run on axis 1 of stages laid out ``(c, y, x, z)``, written
+transposed by the pad and crop copies that exist anyway, the x passes on
+axis 1 of ``(c, x, y, z)`` stages and the z passes on the last axis.  The
+lines and their order are unchanged, so every value is bitwise that of the
+untransposed kernel.  The complex passes overwrite their input (``out=``),
+so a strided y line reads and writes the same pages.
+
 One helper, ``_grid_products``, makes the round trip for both products.
 It writes the products into one preallocated real buffer and drops each
 grid stage as soon as the next one exists, so a transport holds at most
@@ -210,7 +221,8 @@ def _fast_len(n: int) -> int:
 def _pad(c: np.ndarray, N: int, M: int, axis: int) -> np.ndarray:
     """Zero-padded FFT-order copy of centered modes ``-N..N`` along ``axis``
     (negative): ``m >= 0`` to the first ``N + 1`` slots, ``m < 0`` to the
-    last ``N``."""
+    last ``N``.  The copy is C-contiguous in the axis order of ``c``, so a
+    transposed view of ``c`` is padded and transposed in one pass."""
     shape = list(c.shape)
     shape[axis] = M
     out = np.zeros(shape, dtype=complex)
@@ -222,11 +234,16 @@ def _pad(c: np.ndarray, N: int, M: int, axis: int) -> np.ndarray:
 
 def _crop(c: np.ndarray, N: int, axis: int) -> np.ndarray:
     """Centered modes ``-N..N`` of an FFT-order spectrum along ``axis``
-    (negative); the inverse of ``_pad``."""
+    (negative); the inverse of ``_pad``, and like it a C-contiguous copy in
+    the axis order of ``c``."""
     M = c.shape[axis]
+    shape = list(c.shape)
+    shape[axis] = 2 * N + 1
+    out = np.empty(shape, dtype=c.dtype)
     tail = (slice(None),) * (-1 - axis)
-    return np.concatenate([c[(..., slice(M - N, M)) + tail],
-                           c[(..., slice(0, N + 1)) + tail]], axis=axis)
+    out[(..., slice(0, N)) + tail] = c[(..., slice(M - N, M)) + tail]
+    out[(..., slice(N, 2 * N + 1)) + tail] = c[(..., slice(0, N + 1)) + tail]
+    return out
 
 
 def _to_grid(stack: np.ndarray, N: int, M: int) -> np.ndarray:
@@ -234,15 +251,23 @@ def _to_grid(stack: np.ndarray, N: int, M: int) -> np.ndarray:
 
     Only the ``m3 >= 0`` half of ``stack`` is read; the field is assumed
     real (Hermitian), as ``project_constraints`` guarantees.  The inverse is
-    pruned to the lines that carry retained modes: ``ifft`` along axis -3
-    over the ``(2N+1) x (N+1)`` retained columns, ``ifft`` along axis -2 over
-    ``M x (N+1)``, then ``irfft`` along axis -1.  That is ``irfftn``'s own
-    axis order, so the samples are bitwise those of ``irfftn`` on the
-    zero-padded half spectrum.  Requires ``M >= 2N + 1``.
+    pruned to the lines that carry retained modes: ``ifft`` in x over the
+    ``(2N+1) x (N+1)`` retained columns, ``ifft`` in y over ``M x (N+1)``,
+    then ``irfft`` in z.  That is ``irfftn``'s own axis order, so the
+    samples are bitwise those of ``irfftn`` on the zero-padded half
+    spectrum.  Requires ``M >= 2N + 1``.
+
+    No pass runs along a middle axis (see the module docstring): the x
+    pass runs on an ``(…, x, y, z)`` array, ``_pad`` writes the y pad
+    transposed into an ``(…, y, x, z)`` array for the y pass, and ``irfft``
+    runs on the last axis of that.  The complex passes run in place.  The
+    result is a transposed view indexed ``(…, x, y, z)``.
     """
-    half = np.fft.ifft(_pad(stack[..., N:], N, M, -3), axis=-3, norm="forward")
-    half = np.fft.ifft(_pad(half, N, M, -2), axis=-2, norm="forward")
-    return np.fft.irfft(half, n=M, axis=-1, norm="forward")
+    half = _pad(stack[..., N:], N, M, -3)
+    np.fft.ifft(half, axis=-3, norm="forward", out=half)
+    half = _pad(half.swapaxes(-3, -2), N, M, -3)
+    np.fft.ifft(half, axis=-3, norm="forward", out=half)
+    return np.fft.irfft(half, n=M, axis=-1, norm="forward").swapaxes(-3, -2)
 
 
 def _grid_products(fields, pairs, N: int, N_out: int) -> np.ndarray:
@@ -251,14 +276,19 @@ def _grid_products(fields, pairs, N: int, N_out: int) -> np.ndarray:
     samples of the concatenated ``fields`` (centered, truncation N).
 
     The grid is ``M = dealias_pad_size(N, N_out)``.  The forward transform
-    is ``rfftn``'s axis order pruned to the retained lines: ``rfft`` along
-    axis -1 keeping ``m3 = 0..N_out``, ``fft`` along axis -2, the retained
-    rows, ``fft`` along axis -3; bitwise the gather of ``rfftn``.  The
-    ``m3 < 0`` half follows by conjugate symmetry.
+    is ``rfftn``'s axis order pruned to the retained lines: ``rfft`` in z
+    keeping ``m3 = 0..N_out``, ``fft`` in y, the retained rows, ``fft`` in
+    x; bitwise the gather of ``rfftn``.  The ``m3 < 0`` half follows by
+    conjugate symmetry.
 
-    Each stage is dropped once the next one exists: the samples once the
-    products are in their one buffer, the products once their ``rfft``
-    exists and that full half spectrum once the axis -2 transform exists.
+    The stages mirror ``_to_grid``'s so that every pass runs on axis -3 or
+    -1: the products go through the samples' ``(x, y, z)`` view into a
+    ``(p, y, x, z)`` buffer, the kept ``rfft`` columns are copied out
+    contiguous for the y pass, and ``_crop`` writes the y crop transposed
+    into a ``(p, x, y, z)`` array for the x pass; both complex passes run
+    in place.  Each stage is dropped once the next one exists: the samples
+    once the products are in their buffer, the products once their ``rfft``
+    exists and that full half spectrum once its kept columns are copied.
     All of them live in this frame, so no caller keeps one alive, and the
     peak is the product buffer plus its ``rfft``.
     """
@@ -266,14 +296,16 @@ def _grid_products(fields, pairs, N: int, N_out: int) -> np.ndarray:
     grid = _to_grid(np.concatenate(fields), N, M)
     phys = np.empty((len(pairs), M, M, M))
     for i, (a, b) in enumerate(pairs):
-        np.multiply(grid[a], grid[b], out=phys[i])
+        np.multiply(grid[a], grid[b], out=phys[i].swapaxes(0, 1))
     del grid
     full = np.fft.rfft(phys, axis=-1, norm="forward")
     del phys
-    half = np.fft.fft(full[..., : N_out + 1], axis=-2, norm="forward")
+    half = full[..., : N_out + 1].copy()
     del full
-    half = _crop(half, N_out, -2)
-    half = _crop(np.fft.fft(half, axis=-3, norm="forward"), N_out, -3)
+    np.fft.fft(half, axis=-3, norm="forward", out=half)
+    half = _crop(half.swapaxes(-3, -2), N_out, -2)
+    np.fft.fft(half, axis=-3, norm="forward", out=half)
+    half = _crop(half, N_out, -3)
     return np.concatenate([np.conj(half[..., ::-1, ::-1, :0:-1]), half], axis=-1)
 
 
@@ -314,17 +346,23 @@ def hydrostatic_leray(f: SpectralVelocity) -> SpectralVelocity:
 
 
 @lru_cache(maxsize=32)
-def _vertical_divisors(N: int):
-    """Slab magnitudes ``|m'|`` at ``m3 = 0`` and the integer ``m3`` divisor
-    with 1 on that slab, read-only."""
-    m1, m2, m3 = lattice(N)
-    m1, m2 = m1[:, :, N], m2[:, :, N]
-    mag = np.sqrt((m1 * m1 + m2 * m2).astype(float))
-    m3safe = m3.copy()
-    m3safe[:, :, N] = 1
-    for a in (mag, m3safe):
+def _vertical_factors(N: int):
+    """Read-only factors of ``vertical_velocity``: complex ``m1``, ``m2``
+    and ``m3`` (with 1 at ``m3 = 0``) shaped ``(n, 1, 1)``, ``(1, n, 1)``
+    and ``(1, 1, n)`` to broadcast against an ``(n, n, n)`` array, the slab
+    magnitudes ``|m'|`` at ``m3 = 0``, and the indices of the ``m3 != 0``
+    planes.  The complex factors hold the values numpy casts the integer
+    lattice to, so products and quotients are bit for bit the same."""
+    m = np.arange(-N, N + 1)
+    mag = np.sqrt((m[:, None] ** 2 + m[None, :] ** 2).astype(float))
+    mc = m.astype(complex)
+    m3safe = mc.copy()
+    m3safe[N] = 1
+    out = (mc[:, None, None], mc[None, :, None], m3safe[None, None, :], mag,
+           np.flatnonzero(m))
+    for a in out:
         a.setflags(write=False)
-    return mag, m3safe
+    return out
 
 
 def vertical_velocity(f: SpectralVelocity) -> SpectralScalar:
@@ -336,8 +374,7 @@ def vertical_velocity(f: SpectralVelocity) -> SpectralScalar:
     antiderivative is not periodic.
     """
     N = f.N
-    m1, m2, _ = lattice(N)
-    mag, m3safe = _vertical_divisors(N)
+    m1, m2, m3safe, mag, planes = _vertical_factors(N)
     s = m1 * f.coeffs[0] + m2 * f.coeffs[1]  # (m' . u_hat), divergence / (2*pi*i)
     resid = np.sqrt(np.sum(np.abs(s[:, :, N]) ** 2))
     u, v = f.coeffs[0, :, :, N], f.coeffs[1, :, :, N]
@@ -347,10 +384,10 @@ def vertical_velocity(f: SpectralVelocity) -> SpectralScalar:
             "vertical average is not divergence-free "
             f"(residual {resid:.3e} vs scale {scale:.3e}); project first"
         )
-    # integer divisor: the quotient is that of -s[nz] / m3[nz], bit for bit
+    # integer-valued divisor: the quotient is that of -s[nz] / m3[nz], bit for bit
     w = -s / m3safe
     # zero vertical mode fixed by w(., z=0) = 0; the slab's own entries are dropped
-    w[:, :, N] = -np.sum(np.delete(w, N, axis=2), axis=2)
+    w[:, :, N] = -np.sum(w.take(planes, axis=2), axis=2)
     return SpectralScalar(w, N, parity="odd")
 
 

@@ -120,6 +120,36 @@ class TestStrictInputs:
         assert err == f"config error: {message}\n" and out == ""
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command,edit,message", [
+        ("simulate", ("nu = 1.5", "nu = nan"), "sim: nu must be finite, got nan"),
+        ("ensemble", ("nu = 1.5", "nu = nan"), "sim: nu must be finite, got nan"),
+        ("ensemble", ("c_sigma = 0.001", "c_sigma = 10"), "ensemble: need nu^2 >= "),
+    ], ids=["simulate", "ensemble", "ensemble-threshold"])
+    def test_config_error_creates_no_output_dir(self, tmp_path, capsys,
+                                                command, edit, message):
+        # every check, the experiment's thresholds included, runs before the
+        # output directory is created
+        text = TestEnsemble.ENSEMBLE_CONFIG.format(c_sigma="0.001", paths=2,
+                                                   outdir=tmp_path / "config_dir")
+        cfg = write_config(tmp_path, text.replace(*edit))
+        out = tmp_path / "out"
+        assert bench_cli.main([command, "--config", cfg, "--quiet", "--out", str(out)]) \
+            == bench_cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert list(tmp_path.iterdir()) == [tmp_path / "cfg.ini"]
+
+    @pytest.mark.parametrize("value", ["0.5", "nan"])
+    def test_none_noise_requires_s_zero(self, tmp_path, capsys, value):
+        # 'none' runs at nu = 0 and ignores s, so any other order is an error
+        text = BASE_CONFIG.format(name="none_s", family="two_mode", amplitude="0.01",
+                                  outdir=tmp_path / "out")
+        cfg = write_config(tmp_path, text.replace("s = 0.0", f"s = {value}"))
+        assert bench_cli.main(["simulate", "--config", cfg, "--quiet"]) \
+            == bench_cli.EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            f"config error: sim: noise 'none' requires s = 0, got {float(value)}\n"
+        assert list(tmp_path.iterdir()) == [tmp_path / "cfg.ini"]
+
     README = Path(__file__).resolve().parent.parent / "README.md"
 
     def test_readme_config_reference_matches_table(self, tmp_path):

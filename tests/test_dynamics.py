@@ -98,6 +98,13 @@ class TestSimConfigValidation:
                       radius=RadiusSchedule.constant(1.0), n_modes=4,
                       dt=1e-3, horizon=1.0)
 
+    @pytest.mark.parametrize("s", [0.5, math.nan])
+    def test_none_requires_s_zero(self, s):
+        with pytest.raises(ValueError, match=f"noise 'none' requires s = 0, got {s}"):
+            SimConfig(noise="none", nu=0.0, s=s, sigma=2.6,
+                      radius=RadiusSchedule.constant(1.0), n_modes=4,
+                      dt=1e-3, horizon=1.0)
+
     @pytest.mark.parametrize("dt,horizon", [(math.nan, 1.0), (math.inf, 1.0),
                                             (1e-3, math.nan), (1e-3, math.inf)])
     def test_non_finite_step_or_horizon(self, dt, horizon):

@@ -39,6 +39,16 @@ class TestExpMultiplier:
         with pytest.raises(ExponentCapError):
             gevrey.exp_multiplier(f, 20.0, 1.0)  # 20 * 2*pi*8*sqrt(3) > 700
 
+    @pytest.mark.parametrize("p", [0.0, 0.9, 1.9])
+    def test_abs_k_power_cache_is_read_only(self, p):
+        # one shared |k|^p per (N, p) for the multiplier and the norms; a
+        # caller writing into it would corrupt every later weight
+        kp = gevrey._abs_k_pow(4, p)
+        assert gevrey._abs_k_pow(4, p) is kp and not kp.flags.writeable
+        assert kp.tobytes() == (spectral.abs_k(4) ** p).tobytes()
+        with pytest.raises(ValueError):
+            kp[0, 0, 0] = 1.0
+
 
 class TestNoiseTransform:
     def test_zero_noise_identity(self, projected_field):

@@ -342,14 +342,15 @@ class TestRealTransformOracle:
 class TestPrunedTransforms:
     """The pruned one-axis passes against full ``irfftn``/``rfftn`` with a
     fancy-index scatter and gather: the same 1-D lines in the same axis
-    order, so the results are bitwise equal."""
+    order, so the results are bitwise equal.  N = 8 pads to M = 25, the
+    size the Picard probes run at."""
 
-    @pytest.mark.parametrize("N", [3, 4])
+    @pytest.mark.parametrize("N", [3, 4, 8])
     def test_grid_round_trip(self, projected_field, N):
         v = projected_field(N=N, seed=16)
         stack = np.concatenate([v.coeffs, spectral.vertical_velocity(v).coeffs[None]])
         M = spectral.dealias_pad_size(N, N)
-        assert M == {3: 10, 4: 15}[N]
+        assert M == {3: 10, 4: 15, 8: 25}[N]
         g = spectral._to_grid(stack, N, M)
         np.testing.assert_array_equal(g, half_spectrum_samples(stack, N, M))
         prods = np.stack([g[0] * g[1], g[1] * g[2]])
@@ -357,7 +358,7 @@ class TestPrunedTransforms:
             spectral._grid_products((stack,), ((0, 1), (1, 2)), N, N),
             half_spectrum_coeffs(prods, N, M))
 
-    @pytest.mark.parametrize("N", [3, 4])
+    @pytest.mark.parametrize("N", [3, 4, 8])
     def test_scalar_product(self, projected_field, N):
         v = projected_field(N=N, seed=17)
         f = SpectralScalar(v.coeffs[1], N)
@@ -368,7 +369,7 @@ class TestPrunedTransforms:
             2 * N, M)
         np.testing.assert_array_equal(spectral.scalar_product(f, w).coeffs, expect)
 
-    @pytest.mark.parametrize("N", [3, 4])
+    @pytest.mark.parametrize("N", [3, 4, 8])
     @pytest.mark.parametrize("extra", [0, 1, 2])
     def test_physical_samples(self, projected_field, N, extra):
         v = projected_field(N=N, seed=18)
@@ -379,18 +380,28 @@ class TestPrunedTransforms:
 
     @pytest.mark.parametrize("N", [3, 4])
     def test_transport_makes_six_fft_calls(self, projected_field, monkeypatch, N):
+        # both products make the same six passes, and each one batches over
+        # whole leading and trailing blocks: it runs over axis 1 (the leading
+        # spatial axis) or the last axis of a 4-D stage, never a middle axis
         calls = []
 
         def counted(fn):
-            def wrapper(*args, **kwargs):
-                calls.append(fn.__name__)
-                return fn(*args, **kwargs)
+            def wrapper(a, *args, **kwargs):
+                calls.append((fn.__name__, a.ndim, kwargs.get("axis", -1) % a.ndim))
+                return fn(a, *args, **kwargs)
             return wrapper
 
         for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn"):
             monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
-        spectral.transport_bilinear(projected_field(N=N, seed=19))
-        assert len(calls) == 6
+        v = projected_field(N=N, seed=19)
+        w = spectral.vertical_velocity(v)
+        for product in (lambda: spectral.transport_bilinear(v),
+                        lambda: spectral.scalar_product(SpectralScalar(v.coeffs[0], N), w)):
+            calls.clear()
+            product()
+            assert [name for name, _, _ in calls] == ["ifft", "ifft", "irfft",
+                                                      "rfft", "fft", "fft"]
+            assert all(ndim == 4 and axis in (1, 3) for _, ndim, axis in calls), calls
 
     def test_transport_working_set(self):
         """One N = 16 transport holds at most the (5, M, M, M) product
