@@ -167,17 +167,20 @@ def _build_initial_data(section: _Section, N: int):
              if key != "family" and not key.startswith("normalize_")}
     try:
         u0 = initial_data.make_initial_data(family, N, **shape)
-        target = section.get("normalize_target")
-        if target is not None:
-            params = GevreyParams(section["normalize_sigma"],
-                                  section.get("normalize_s", 1.0),
-                                  section.get("normalize_phi", 0.0))
-            u0 = initial_data.normalize_to(u0, target, params)
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(f"initial_data: {exc}") from exc
-    return u0
+    target = section.get("normalize_target")
+    if target is None:
+        return u0
+    sigma, s = section["normalize_sigma"], section.get("normalize_s", 1.0)
+    phi = section.get("normalize_phi", 0.0)
+    try:
+        return initial_data.normalize_to(u0, target, GevreyParams(sigma, s, phi))
+    except gevrey.ExponentCapError as exc:
+        raise ConfigError(f"initial_data: normalize_phi past the exponent cap at "
+                          f"N = {N}: {exc}") from exc
+    except ValueError as exc:  # it names the argument: target, sigma, s or phi
+        raise ConfigError(f"initial_data: normalize_{exc}") from exc
 
 
 def build_sim(config: dict[str, _Section], seed_override=None):
@@ -205,6 +208,8 @@ def build_sim(config: dict[str, _Section], seed_override=None):
         )
     except ConfigError:
         raise
+    except gevrey.ExponentCapError as exc:
+        raise ConfigError(f"sim: phi0 past the exponent cap at N = {N}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"sim: {exc}") from exc
     return cfg, u0, c_sigma

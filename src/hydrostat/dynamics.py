@@ -15,14 +15,15 @@ u' = -0.5*nu^2 u - exp(nu*W) P Q(u, u).  With W frozen per step,
 u(t) = exp(-nu^2 t/2) Z(tau(t)), where Z solves the nu = 0 equation and tau
 is the path's clock ``stochastic.damping_clock``, exact per step.  So
 damping runs do not step their paths: one Z, stepped by ``step_damping`` on
-the tau grid n*dt, serves every path of an ensemble, and each u(t_k) is
-read off it by four-node cubic Lagrange interpolation.
+an error-controlled tau grid, serves every path of an ensemble, and each
+u(t_k) is read off it by four-node cubic Lagrange interpolation.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -464,50 +465,93 @@ def run(u0: SpectralVelocity, cfg: SimConfig, path: BrownianPath | None = None,
     return trace.result()
 
 
-def _lagrange_weights(x: float) -> tuple:
-    """Cubic Lagrange weights at x for the nodes 0, 1, 2, 3."""
-    return (-(x - 1.0) * (x - 2.0) * (x - 3.0) / 6.0,
-            0.5 * x * (x - 2.0) * (x - 3.0),
-            -0.5 * x * (x - 1.0) * (x - 3.0),
-            x * (x - 1.0) * (x - 2.0) / 6.0)
+# Error control of the clocked nu = 0 solve (Hairer, Norsett & Wanner,
+# Solving ODEs I, II.4): a trial node is accepted when its L2 distance from
+# the cubic through the four nodes before it, relative to |z0|, is within
+# SWEEP_TOL; the next step scales by SAFETY*(tol/distance)^(1/4), that
+# distance being O(h^4), clipped to [SHRINK, GROW].  The three steps that
+# build the first cubic are unchecked, so they take FIRST*dt, small enough
+# that they set no error floor.
+SWEEP_TOL = 1e-3
+_SWEEP_SAFETY = 0.9
+_SWEEP_GROW = 2.0
+_SWEEP_SHRINK = 0.2
+_SWEEP_FIRST = 0.125
+
+
+def _cubic(x: float, nodes) -> np.ndarray:
+    """Coefficients at x of the cubic through the four nodes ``(t_j, z_j)``,
+    by Lagrange weights on their times."""
+    return sum(math.prod((x - tm) / (tj - tm) for tm, _ in nodes if tm != tj) * zj.coeffs
+               for tj, zj in nodes)
+
+
+def _damping_nodes(z0: SpectralVelocity, dt: float):
+    """Yield the accepted nodes ``(tau, Z(tau))`` of the nu = 0 solution
+    from ``z0``, from ``(0, z0)`` on, each stepped by one ``step_damping``
+    call from the node before it; a rejected trial costs one call too.
+
+    The sequence depends on ``z0``, ``dt`` and ``SWEEP_TOL`` alone.  A
+    trial step longer than ``dt`` that turns non-finite is retried shorter;
+    at ``h <= dt`` the sequence ends there.  It also ends where a step is
+    lost to round-off in ``tau``, as no trial is ever accepted.
+    """
+    scale = float(np.linalg.norm(z0.coeffs)) or 1.0
+    nodes = deque([(0.0, z0)], maxlen=4)
+    yield nodes[0]
+    h = _SWEEP_FIRST * dt
+    while True:
+        t = nodes[-1][0] + h
+        if t == nodes[-1][0]:
+            return
+        with np.errstate(over="ignore", invalid="ignore"):
+            # a step into overflow gives a non-finite node or distance
+            z = step_damping(nodes[-1][1], h)
+            err = 0.0 if len(nodes) < 4 else \
+                float(np.linalg.norm(z.coeffs - _cubic(t, nodes))) / scale
+        if not (math.isfinite(err) and np.isfinite(z.coeffs).all()):
+            if h <= dt:
+                return
+            h *= _SWEEP_SHRINK
+            continue
+        if len(nodes) == 4:
+            factor = _SWEEP_SAFETY * (SWEEP_TOL / err) ** 0.25 if err > 0.0 \
+                else _SWEEP_GROW
+            h *= min(max(factor, _SWEEP_SHRINK), _SWEEP_GROW)
+            if err > SWEEP_TOL:
+                continue
+        nodes.append((t, z))
+        yield nodes[-1]
 
 
 def _clocked_sweep(z0: SpectralVelocity, cfg: SimConfig, clocks: list, visit) -> None:
     """Hand ``Z(clocks[p][k])`` to ``visit(p, k, z)`` for every k >= 1, in
     increasing clock order, where Z is the nu = 0 solution from ``z0``.
 
-    Z is stepped by ``step_damping`` on the grid ``n*h``,
-    ``h = cfg.dt``, and a query ``tau`` is read off the four nodes from
-    ``max(floor(tau/h) - 1, 0)`` by cubic Lagrange interpolation, so what it
-    reads depends on ``tau`` alone, never on the other clocks.  The sweep
-    holds four nodes.  A path drops out once ``visit`` returns False; no node
-    is stepped that no running path needs, and the sweep returns early at
-    the first non-finite node.
+    Z is stepped on the error-controlled nodes of ``_damping_nodes``, and a
+    query ``tau`` is read off the four nodes ``i-1 .. i+2`` around it,
+    ``t_i <= tau < t_{i+1}`` (``0 .. 3`` near 0), by cubic Lagrange
+    interpolation, so what it reads depends on ``tau`` alone, never on the
+    other clocks.  The sweep holds four nodes.  A path drops out once
+    ``visit`` returns False; no node is stepped that no running path needs,
+    and the sweep returns early where the nodes end.
     """
     tau = np.concatenate([c[1:] for c in clocks])
     owner = np.concatenate([np.full(len(c) - 1, p) for p, c in enumerate(clocks)])
     index = np.concatenate([np.arange(1, len(c)) for c in clocks])
-    h = cfg.dt
-    nodes, first = [z0], 0  # nodes[i] is Z(h*(first + i))
+    stepper = _damping_nodes(z0, cfg.dt)
+    nodes = deque(maxlen=4)
     running = [True] * len(clocks)
     for q in np.lexsort((index, owner, tau)):
         p = int(owner[q])
         if not running[p]:
             continue
-        j0 = max(int(math.floor(tau[q] / h)) - 1, 0)
-        while first + len(nodes) < j0 + 4:
-            with np.errstate(over="ignore", invalid="ignore"):
-                # a step into overflow gives the non-finite node checked next
-                z = step_damping(nodes[-1], h)
-            if not np.isfinite(z.coeffs).all():
+        while len(nodes) < 4 or nodes[-2][0] <= tau[q]:
+            node = next(stepper, None)
+            if node is None:
                 return
-            nodes.append(z)
-            if len(nodes) > 4:
-                nodes.pop(0)
-                first += 1
-        weights = _lagrange_weights(tau[q] / h - j0)
-        window = nodes[j0 - first:j0 - first + 4]
-        z = SpectralVelocity(sum(c * n.coeffs for c, n in zip(weights, window)), z0.N)
+            nodes.append(node)
+        z = SpectralVelocity(_cubic(float(tau[q]), nodes), z0.N)
         running[p] = visit(p, int(index[q]), z)
 
 
@@ -520,8 +564,9 @@ def _run_clocked(u0: SpectralVelocity, cfg: SimConfig, paths: list,
     solution from the projected datum, which one ``_clocked_sweep`` shares
     between all the paths.  Records and statuses follow ``run``'s rules in
     step order; a step from an index past the clock's end stops at the
-    exponent cap, and a run still going when the sweep meets a non-finite
-    node reads 'blowup' at its next step's end, sampled as infinite.
+    exponent cap, and a run still going where the sweep's nodes end (a
+    non-finite node, or a step lost to round-off) reads 'blowup' at its
+    next step's end, sampled as infinite.
     """
     z0 = spectral.project_constraints(u0)
     traces = [_Trace(cfg, path, name) for path, name in zip(paths, names)]
@@ -539,7 +584,7 @@ def _run_clocked(u0: SpectralVelocity, cfg: SimConfig, paths: list,
 
     _clocked_sweep(z0, cfg, clocks, visit)
     for trace in traces:
-        if trace.status is None:  # the sweep met a non-finite node
+        if trace.status is None:  # the sweep's nodes ended
             k = trace.k + 1
             trace.rows.append((float(trace.times[k]), float(trace.path.values[k]),
                                cfg.radius.value(float(trace.times[k])),

@@ -49,8 +49,8 @@ class GevreyParams:
             raise ValueError(f"s must lie in [0, 1], got {self.s}")
         if not 0.0 < self.sigma < np.inf:
             raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
-        if self.phi < 0.0:
-            raise ValueError(f"phi must be non-negative, got {self.phi}")
+        if not 0.0 <= self.phi < np.inf:
+            raise ValueError(f"phi must be non-negative and finite, got {self.phi}")
 
 
 def max_abs_k(N: int) -> float:

@@ -7,6 +7,8 @@ specific norm value is required.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import gevrey, spectral
@@ -77,9 +79,11 @@ def random_analytic(N: int, radius: float, amplitude: float = 1.0, seed=0,
 def normalize_to(u: SpectralVelocity, target: float,
                  params: GevreyParams) -> SpectralVelocity:
     """Rescale so that the Gevrey norm at ``params`` equals ``target`` exactly."""
+    if not math.isfinite(target):
+        raise ValueError(f"target must be finite, got {target}")
     current = gevrey.norm(u, "Gevrey", params)
     if current == 0.0:
-        raise ValueError("cannot normalize the zero field")
+        raise ValueError("target cannot be reached from the zero field")
     return (target / current) * u
 
 
@@ -92,6 +96,10 @@ def make_initial_data(family: str, N: int, *, amplitude: float = 1.0, seed=0,
                       component: int = 0, component_b: int = 1,
                       poly: float = 1.0) -> SpectralVelocity:
     """Dispatch on the family name (the harness-facing constructor)."""
+    for name, value in (("amplitude", amplitude), ("sigma", sigma), ("s", s),
+                        ("radius", radius), ("ratio", ratio), ("poly", poly)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if family == "zero":
         return zero_velocity(N)
     if family == "single_mode":

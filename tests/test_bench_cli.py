@@ -391,23 +391,35 @@ beta = {beta}
         ("diffusion", "nu", "nan"), ("diffusion", "nu", "inf"),
         ("damping", "nu", "nan"), ("damping", "sigma", "nan"),
         ("damping", "sigma", "inf"), ("damping", "alpha", "nan"),
-        ("none", "blowup_factor", "nan")])
+        ("none", "blowup_factor", "nan"), ("damping", "phi0", "50"),
+        ("damping", "initial_data.amplitude", "nan"),
+        ("damping", "initial_data.normalize_target", "nan"),
+        ("damping", "initial_data.normalize_phi", "nan"),
+        ("damping", "initial_data.normalize_phi", "inf"),
+        ("damping", "initial_data.normalize_phi", "50")])
     def test_non_finite_model_parameter_is_config_error(self, tmp_path, capsys,
                                                         noise, key, value):
-        # each of these ran on to a blowup, a traceback or a clean exit
+        # each of these ran on to a blowup, a traceback or a clean exit; a
+        # finite radius past the exponent cap at N = 4 is one too
+        section, _, key = key.rpartition(".")
+        section = section or "sim"
         text = {"diffusion": self.DIFFUSION_CONFIG.format(beta=0.1),
                 "damping": TestEnsemble.ENSEMBLE_CONFIG.format(
                     c_sigma="0.001", paths=2, outdir=tmp_path / "out"),
                 "none": BASE_CONFIG.format(name="nan", family="two_mode",
                                            amplitude="0.01", outdir=tmp_path / "out")}[noise]
         text = re.sub(rf"^{key} = .*\n", "", text, flags=re.M)
-        text = text.replace("[sim]\n", f"[sim]\n{key} = {value}\n")
+        text = text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
         cfg = write_config(tmp_path, text)
-        assert bench_cli.main(["simulate", "--config", cfg, "--quiet"]) \
-            == bench_cli.EXIT_CONFIG
         # sigma is read by the datum's norm before the SimConfig checks it
-        assert re.fullmatch(rf"config error: sim: {key} must be (positive and )?"
-                            rf"finite, got {value}\n", capsys.readouterr().err)
+        expect = rf"config error: {section}: {key} past the exponent cap at N = 4: .*\n" \
+            if math.isfinite(float(value)) else \
+            rf"config error: {section}: {key} must be (positive and |non-negative and )?" \
+            rf"finite, got {value}\n"
+        for command in ("simulate", "ensemble") if noise == "damping" else ("simulate",):
+            assert bench_cli.main([command, "--config", cfg, "--quiet"]) \
+                == bench_cli.EXIT_CONFIG
+            assert re.fullmatch(expect, capsys.readouterr().err)
 
     def test_missing_config_flag(self):
         res = run_cli(["simulate"])

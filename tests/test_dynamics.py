@@ -499,13 +499,6 @@ def nonlinear_two_mode(N):
                                  component_b=0)
 
 
-def held_path(path, m):
-    """``path`` on a grid m times finer that holds W per coarse step."""
-    times = (path.dt / m) * np.arange(m * (len(path.times) - 1) + 1)
-    values = np.append(np.repeat(path.values[:-1], m), path.values[-1])
-    return BrownianPath(times=times, values=values, seed=None, dt=path.dt / m)
-
-
 def frozen_w_rk4(u0, path, nu, m):
     """States at the grid times of u' = -nu^2/2 u - exp(nu*W_k) P Q(u, u),
     W held at W_k over step k, by explicit RK4 at m substeps per step with
@@ -532,6 +525,18 @@ def relative_error(u, ref):
     return float(np.linalg.norm((u - ref).coeffs) / np.linalg.norm(ref.coeffs))
 
 
+def criterion_08_damping(c_sigma, n_paths=8, seed=1):
+    """The base-nu damping ensemble of acceptance criterion 08."""
+    eps, phi0 = 0.5, 0.15
+    u0 = initial_data.normalize_to(initial_data.two_mode(4), 2.0,
+                                   GevreyParams(2.6, 1.0, phi0))
+    required = (8.0 * c_sigma / phi0) * (eps ** -4 * 2.0 + 1.0)
+    cfg = SimConfig(noise="damping", nu=math.sqrt(1.3 * required), s=0.0, sigma=2.6,
+                    radius=RadiusSchedule.constant(phi0), n_modes=4, dt=1e-2,
+                    horizon=0.4, seed=seed)
+    return dy.run_global_experiment(u0, eps, cfg, n_paths, c_sigma=c_sigma)
+
+
 class TestClockedDamping:
     N, NU, T, DT = 4, 1.15, 0.4, 1e-2
 
@@ -542,13 +547,13 @@ class TestClockedDamping:
         return [stochastic.sample_path(self.T, self.DT, stochastic.path_seed(seed, i))
                 for i in range(n)]
 
-    def test_accuracy_against_substepped_oracle(self):
+    def test_accuracy_against_substepped_oracle(self, monkeypatch):
         # reference: the frozen-W equation the clock solves exactly, stepped
         # per path for u itself, not on the clock, by explicit RK4 at 16
-        # substeps per step; a path that holds W per coarse step on a finer
-        # grid keeps that equation while the tau step h = dt halves
+        # substeps per step; the sweep's error follows its tolerance
         cfg, nu = self.cfg(), self.NU
         paths = self.paths(77, 4)
+        clocks = [stochastic.damping_clock(path, nu) for path in paths]
         u0 = spectral.project_constraints(nonlinear_two_mode(self.N))
         refs = [frozen_w_rk4(u0, path, nu, 16) for path in paths]
         moved = max(relative_error(math.exp(0.5 * nu ** 2 * self.T) * s[-1], u0)
@@ -556,24 +561,26 @@ class TestClockedDamping:
         assert moved > 0.3
 
         worst, l2_first = [], []
-        for m in (1, 2, 4):
-            fine = [held_path(path, m) for path in paths]
+        module_tol = dy.SWEEP_TOL
+        for tol in (module_tol, module_tol / 10, module_tol / 100):
+            monkeypatch.setattr(dy, "SWEEP_TOL", tol)
             err = np.zeros(len(paths))
 
             def visit(p, k, z):
-                if k % m == 0:
-                    u = math.exp(-0.5 * nu ** 2 * fine[p].times[k]) * z
-                    err[p] = max(err[p], relative_error(u, refs[p][k // m]))
-                    if m == 1 and p == 0:
-                        l2_first.append(gevrey.norm(u, "L2", GevreyParams(2.6, 1.0)))
+                u = math.exp(-0.5 * nu ** 2 * paths[p].times[k]) * z
+                err[p] = max(err[p], relative_error(u, refs[p][k]))
+                if tol == module_tol and p == 0:
+                    l2_first.append(gevrey.norm(u, "L2", GevreyParams(2.6, 1.0)))
                 return True
 
-            dy._clocked_sweep(u0, replace(cfg, dt=self.DT / m),
-                              [stochastic.damping_clock(f, nu) for f in fine], visit)
+            dy._clocked_sweep(u0, cfg, clocks, visit)
             worst.append(err)
+        monkeypatch.undo()
         assert np.all(worst[0] <= 1e-3), worst[0]
-        assert np.all(worst[0] >= 10.0 * worst[1]), (worst[0], worst[1])
-        assert np.all(worst[1] >= 10.0 * worst[2]), (worst[1], worst[2])
+        # about 10x per decade of tolerance, as the distance and the error
+        # are both O(h^4)
+        assert np.all(worst[0] >= 5.0 * worst[1]), (worst[0], worst[1])
+        assert np.all(worst[1] >= 5.0 * worst[2]), (worst[1], worst[2])
         # run() reads the same states off the same sweep
         rec = dy.run(nonlinear_two_mode(self.N), cfg, paths[0])
         np.testing.assert_array_equal(rec.l2_norm_u[1:], l2_first)
@@ -595,9 +602,11 @@ class TestClockedDamping:
             assert {**a.summary(), "name": ""} == {**b.summary(), "name": ""}
 
     def test_nonfinite_node_reads_blowup(self, monkeypatch):
-        # a shared node that turns non-finite ends the sweep: each run whose
-        # next query needs that node reads blowup at that query's time,
-        # sampled as infinite, and no RuntimeWarning fires
+        # steps turn non-finite from the 8th call on, a trial at 2*dt: it is
+        # retried shorter, and a trial no longer than dt ends the sweep; each
+        # run whose next query needs a node past the last accepted one reads
+        # blowup at that query's time, sampled as infinite, and no
+        # RuntimeWarning fires
         cfg = self.cfg(seed=5)
         u0 = nonlinear_two_mode(self.N)
         paths = self.paths(5, 3)
@@ -608,17 +617,76 @@ class TestClockedDamping:
             calls.append(dt)
             out = real(u, dt)
             return SpectralVelocity(np.full_like(out.coeffs, np.nan), out.N) \
-                if len(calls) == 20 else out
+                if len(calls) >= 8 else out
 
         monkeypatch.setattr(dy, "step_damping", failing)
+        node_times = [t for t, _ in dy._damping_nodes(spectral.project_constraints(u0),
+                                                       self.DT)]
+        node_calls, calls[:] = calls[:], []
+        retries = node_calls[7:]
+        assert retries[0] > self.DT >= retries[-1]
+        assert all(h > self.DT for h in retries[:-1])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             recs = dy.run_ensemble(u0, cfg, 3)
-        assert len(calls) == 20  # nothing is stepped past the bad node 20
+        assert calls == node_calls  # nothing is stepped past the last node
         for path, rec, ref in zip(paths, recs, before):
-            # the query at tau needs node floor(tau/h) + 2
+            # the query at tau needs the node after the first one past tau
             tau = stochastic.damping_clock(path, self.NU)
-            k = int(np.argmax(np.floor(tau / self.DT) + 2 >= 20))
+            k = int(np.argmax(tau >= node_times[-2]))
+            assert k >= 1
             assert rec.status == "blowup" and rec.t_final == path.times[k]
             assert rec.gevrey_norm_u[-1] == math.inf
             np.testing.assert_array_equal(rec.gevrey_norm_u[:-1], ref.gevrey_norm_u[:k])
+
+    def test_unresolvable_solve_ends_where_the_step_is_lost(self, monkeypatch):
+        # a stepper whose error does not shrink with h: every checked trial
+        # is rejected until tau + h rounds to tau, and the nodes end there
+        real, calls = dy.step_damping, []
+
+        def noisy(u, dt):
+            calls.append(dt)
+            return (1.0 + 1e-2 * (-1) ** len(calls)) * real(u, dt)
+
+        monkeypatch.setattr(dy, "step_damping", noisy)
+        u0 = spectral.project_constraints(nonlinear_two_mode(self.N))
+        nodes = list(dy._damping_nodes(u0, self.DT))
+        assert len(nodes) == 4 and len(calls) < 100
+        assert calls[-1] < 1e-15 * nodes[-1][0]
+
+    def test_every_transport_is_inside_step_damping(self, monkeypatch, c_sigma_est):
+        # the benchmark's traced cross-check, transports == 4 x steps, at
+        # unit level: a damping ensemble transports only inside step_damping
+        step, transport = dy.step_damping, spectral.transport_bilinear
+        inside, steps, transports = [], [], []
+
+        def counted_step(u, dt):
+            steps.append(dt)
+            inside.append(True)
+            try:
+                return step(u, dt)
+            finally:
+                inside.pop()
+
+        def counted_transport(u):
+            transports.append(bool(inside))
+            return transport(u)
+
+        monkeypatch.setattr(dy, "step_damping", counted_step)
+        monkeypatch.setattr(spectral, "transport_bilinear", counted_transport)
+        criterion_08_damping(c_sigma_est.value)
+        assert steps and transports == [True] * (4 * len(steps))
+
+    def test_criterion_08_step_budget(self, monkeypatch, c_sigma_est):
+        # the error-controlled nodes take 13 steps here; the fixed grid n*dt
+        # took 46
+        step, steps = dy.step_damping, []
+
+        def counted_step(u, dt):
+            steps.append(dt)
+            return step(u, dt)
+
+        monkeypatch.setattr(dy, "step_damping", counted_step)
+        res = criterion_08_damping(c_sigma_est.value)
+        assert res.n_completed == 8
+        assert len(steps) <= 16, len(steps)
