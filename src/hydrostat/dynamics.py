@@ -45,6 +45,7 @@ __all__ = [
     "step_damping",
     "run",
     "recover_solution",
+    "thread_map",
     "run_ensemble",
     "run_global_experiment",
     "GlobalExperimentResult",
@@ -617,6 +618,32 @@ def _worker_member(i: int) -> RunRecord:
     return _member(_worker_job, i)
 
 
+def _cpu_count() -> int:
+    """CPUs in this process's affinity mask, or 1 on a platform without CPU
+    affinity: the size of ``run_ensemble``'s fork pool and of
+    ``thread_map``."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def thread_map(fn, items) -> list:
+    """``[fn(x) for x in items]`` on ``min(_cpu_count(), len(items))`` threads,
+    and in this thread when that is 1.
+
+    Meant for independent transports, whose FFTs run without the interpreter
+    lock.  Each item is computed alone, so the results do not depend on the
+    thread count.  They come back in item order; the error of the first
+    failing item is raised, as the loop would raise it; and every thread has
+    ended when the call returns, so a later fork copies none.
+    """
+    items = list(items)
+    workers = min(_cpu_count(), len(items))
+    if workers <= 1:
+        return [fn(x) for x in items]
+    import concurrent.futures  # as in run_ensemble
+    with concurrent.futures.ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(fn, items))
+
+
 def run_ensemble(u0: SpectralVelocity, cfg: SimConfig, n_paths: int, seed=None,
                  name: str = "") -> list[RunRecord]:
     """Independent runs over substream-seeded paths, in path-index order:
@@ -624,15 +651,18 @@ def run_ensemble(u0: SpectralVelocity, cfg: SimConfig, n_paths: int, seed=None,
     equals ``run`` on that path alone, for damping too.
 
     Damping members share one clocked solve in this process.  Diffusion and
-    'none' members run on a pool of ``min(CPUs in this process's affinity
-    mask, n_paths)`` forked worker processes, and one after another when
-    that is 1 or the platform has no CPU affinity or fork.  Each member is
-    computed alone either way, so the records do not depend on the worker
-    count.  Workers are forked, not spawned, so they inherit the imported
-    package and the job: only a path index goes to a worker and only its
-    record comes back.  A member's error is raised here with its type and
-    message, and no worker outlives the call.
+    'none' members run on a pool of ``min(_cpu_count(), n_paths)`` forked
+    worker processes, and one after another when that is 1 or the platform
+    has no fork.  Processes, not ``thread_map``: two threads run N = 4
+    transports slower than one, as the interpreter lock serializes their
+    Python glue.  Each member is computed alone either way, so the records
+    do not depend on the worker count.  Workers are forked, not spawned, so
+    they inherit the imported package and the job: only a path index goes
+    to a worker and only its record comes back.  A member's error is raised
+    here with its type and message, and no worker outlives the call.
     """
+    if n_paths < 1:
+        raise ValueError(f"need at least one path, got n_paths = {n_paths}")
     _check_truncation(u0, cfg)
     base_seed = cfg.seed if seed is None else seed
     names = [f"{name}[{i}]" if name else f"path{i}" for i in range(n_paths)]
@@ -640,8 +670,7 @@ def run_ensemble(u0: SpectralVelocity, cfg: SimConfig, n_paths: int, seed=None,
         return _run_clocked(
             u0, cfg, [_member_path(cfg, base_seed, i) for i in range(n_paths)], names)
     job = (u0, cfg, base_seed, names)
-    workers = min(len(os.sched_getaffinity(0)), n_paths) \
-        if hasattr(os, "sched_getaffinity") and hasattr(os, "fork") else 1
+    workers = min(_cpu_count(), n_paths) if hasattr(os, "fork") else 1
     if workers > 1:  # imported here, so that callers that never pool do not pay for it
         import concurrent.futures
         import multiprocessing
@@ -678,6 +707,8 @@ def run_global_experiment(v0: SpectralVelocity, epsilon: float, cfg: SimConfig,
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
+    if n_paths < 1:
+        raise ValueError(f"need at least one path, got n_paths = {n_paths}")
     alpha = -4.0 * math.log(epsilon)
     nu = cfg.nu
     beta = 0.25 * nu ** 2

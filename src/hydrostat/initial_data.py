@@ -78,9 +78,10 @@ def random_analytic(N: int, radius: float, amplitude: float = 1.0, seed=0,
 
 def normalize_to(u: SpectralVelocity, target: float,
                  params: GevreyParams) -> SpectralVelocity:
-    """Rescale so that the Gevrey norm at ``params`` equals ``target`` exactly."""
-    if not math.isfinite(target):
-        raise ValueError(f"target must be finite, got {target}")
+    """Rescale so that the Gevrey norm at ``params`` equals ``target`` exactly;
+    a norm is positive, so ``target`` must be."""
+    if not (math.isfinite(target) and target > 0.0):
+        raise ValueError(f"target must be positive and finite, got {target}")
     current = gevrey.norm(u, "Gevrey", params)
     if current == 0.0:
         raise ValueError("target cannot be reached from the zero field")

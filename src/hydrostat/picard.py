@@ -6,7 +6,9 @@ transport term (composite trapezoid on a uniform grid).  Iterating the map
 from the constant-in-time trajectory realizes the contraction construction;
 the measured ratio of successive differences estimates the contraction
 factor.  The map evaluates one transport per distinct (trajectory entry, W)
-pair, so the first iterate on a zero path costs a single transport.
+pair, so the first iterate on a zero path costs a single transport, and runs
+those transports concurrently on ``dynamics.thread_map``; each is computed
+alone, so the trajectory does not depend on the CPU count.
 
 The kernel is smooth on the truncated mode set, so the trapezoid rule is
 adequate; node-doubling convergence is the verification.  High dissipation
@@ -95,7 +97,8 @@ def duhamel_map(trajectory: list, prob: MildProblem, path: BrownianPath) -> list
     Element i of the result is the heat-propagated data at t_i minus the
     trapezoid approximation of the propagated integrand over [0, t_i]; the
     output has zero mean at every node.  Nodes that hold the same trajectory
-    object under equal W values are one input and share one transport.
+    object under equal W values are one input and share one transport; the
+    distinct transports run on ``dynamics.thread_map`` in node order.
     """
     times = prob.times
     n = len(times)
@@ -106,23 +109,23 @@ def duhamel_map(trajectory: list, prob: MildProblem, path: BrownianPath) -> list
     h = times[1] - times[0]
     heat = _heat_factors(N, cfg.s, cfg.nu, h, n)
 
-    integrand = []
-    zeros = np.zeros_like(prob.u0.coeffs)
-    # (id of the trajectory entry, W) -> its transport; ``trajectory`` keeps
-    # every entry alive during the call, so an id names one input
-    transports: dict = {}
-    for j, t in enumerate(times):
+    # (id of the trajectory entry, W) per node, and the input of each distinct
+    # key; ``trajectory`` keeps every entry alive during the call, so an id
+    # names one input
+    keys, inputs = [], {}
+    for entry, t in zip(trajectory, times):
         w = path.value_at(float(t))
-        key = (id(trajectory[j]), w)
-        if key not in transports:
-            transports[key] = dynamics.twisted_transport(
-                trajectory[j], cfg.nu, w, cfg.s).coeffs
-        integrand.append(transports[key])
+        keys.append((id(entry), w))
+        inputs.setdefault(keys[-1], (entry, w))
+    transports = dict(zip(inputs, dynamics.thread_map(
+        lambda job: dynamics.twisted_transport(job[0], cfg.nu, job[1], cfg.s).coeffs,
+        inputs.values())))
+    integrand = [transports[key] for key in keys]
 
     out = []
     zero_idx = (slice(None), N, N, N)
     # running[i] = sum_{j<i} heat[i-j] * integrand[j], by heat[a+b] = heat[a]*heat[b]
-    running = zeros
+    running = np.zeros_like(prob.u0.coeffs)
     for i in range(n):
         acc = heat[i] * prob.u0.coeffs
         if i > 0:

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,16 @@ def transport_calls(monkeypatch):
 
     monkeypatch.setattr(spectral, "transport_bilinear", counted)
     return calls
+
+
+@pytest.fixture
+def set_cpus(monkeypatch):
+    """``set_cpus(n)`` puts n CPUs in the affinity mask that
+    ``dynamics._cpu_count`` reads, so that its thread map and fork pool take
+    n workers."""
+    def set_count(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    return set_count
 
 
 @pytest.fixture

@@ -154,6 +154,14 @@ class TestEstimators:
             for phi in an.PHIS)
         assert est.value == expect
 
+    def test_estimates_do_not_depend_on_cpu_count(self, set_cpus):
+        estimates = []
+        for cpus in (1, 2):
+            set_cpus(cpus)
+            estimates.append((an.estimate_c_sigma(2.6, N=6, n_samples=9, seed=4),
+                              an.estimate_c_star(1.9, 1.0, N=6, n_samples=9, seed=4)))
+        assert estimates[0] == estimates[1]
+
     def test_truncation_stability(self, c_sigma_est):
         small = an.estimate_c_sigma(2.6, N=6, n_samples=50, seed=2026)
         assert 0.25 < c_sigma_est.value / small.value < 4.0

@@ -394,13 +394,16 @@ beta = {beta}
         ("none", "blowup_factor", "nan"), ("damping", "phi0", "50"),
         ("damping", "initial_data.amplitude", "nan"),
         ("damping", "initial_data.normalize_target", "nan"),
+        ("damping", "initial_data.normalize_target", "-0.5"),
+        ("damping", "initial_data.normalize_target", "0"),
         ("damping", "initial_data.normalize_phi", "nan"),
         ("damping", "initial_data.normalize_phi", "inf"),
         ("damping", "initial_data.normalize_phi", "50")])
     def test_non_finite_model_parameter_is_config_error(self, tmp_path, capsys,
                                                         noise, key, value):
         # each of these ran on to a blowup, a traceback or a clean exit; a
-        # finite radius past the exponent cap at N = 4 is one too
+        # finite radius past the exponent cap at N = 4 is one too, and so is
+        # a norm target that is not positive
         section, _, key = key.rpartition(".")
         section = section or "sim"
         text = {"diffusion": self.DIFFUSION_CONFIG.format(beta=0.1),
@@ -413,9 +416,9 @@ beta = {beta}
         cfg = write_config(tmp_path, text)
         # sigma is read by the datum's norm before the SimConfig checks it
         expect = rf"config error: {section}: {key} past the exponent cap at N = 4: .*\n" \
-            if math.isfinite(float(value)) else \
+            if value == "50" else \
             rf"config error: {section}: {key} must be (positive and |non-negative and )?" \
-            rf"finite, got {value}\n"
+            rf"finite, got {float(value)}\n"
         for command in ("simulate", "ensemble") if noise == "damping" else ("simulate",):
             assert bench_cli.main([command, "--config", cfg, "--quiet"]) \
                 == bench_cli.EXIT_CONFIG

@@ -2,6 +2,7 @@
 
 import math
 import multiprocessing
+import threading
 import warnings
 from dataclasses import replace
 
@@ -463,6 +464,21 @@ class TestEnsembleAndGlobal:
             dy.run_ensemble(u0, cfg, 6)
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("noise", ["diffusion", "damping"])
+    @pytest.mark.parametrize("n_paths", [0, -1, -2])
+    def test_path_count_below_one_rejected(self, noise, n_paths):
+        # these divided by zero, reported -0.0 of an empty ensemble or
+        # returned no records
+        N = 4
+        cfg = (diffusion_cfg(N=N, nu=0.1, T=0.02, dt=2e-3) if noise == "diffusion"
+               else damping_cfg(N=N, nu=1.0, T=0.02, dt=2e-3))
+        u0 = small_two_mode(N, amplitude=1e-3)
+        message = f"^need at least one path, got n_paths = {n_paths}$"
+        with pytest.raises(ValueError, match=message):
+            dy.run_ensemble(u0, cfg, n_paths)
+        with pytest.raises(ValueError, match=message):
+            dy.run_global_experiment(u0, 0.5, cfg, n_paths, c_star=1.0, c_sigma=1.0)
+
     def test_global_experiment_threshold_error(self):
         N = 4
         cfg = diffusion_cfg(N=N, nu=0.01, T=0.02, dt=2e-3)
@@ -690,3 +706,33 @@ class TestClockedDamping:
         res = criterion_08_damping(c_sigma_est.value)
         assert res.n_completed == 8
         assert len(steps) <= 16, len(steps)
+
+
+class TestThreadMap:
+    def test_one_cpu_runs_in_the_calling_thread(self, set_cpus):
+        set_cpus(1)
+        caller = threading.get_ident()
+        assert dy.thread_map(lambda x: threading.get_ident(), range(3)) == [caller] * 3
+
+    def test_item_order_first_error_and_no_thread_remains(self, set_cpus):
+        # results come in item order; item 1 fails first and item 0 after
+        # it, and the map raises item 0's error, as the loop would; every
+        # thread has ended either way
+        set_cpus(2)
+        before = threading.active_count()
+        assert dy.thread_map(abs, range(-3, 3)) == [3, 2, 1, 0, 1, 2]
+        assert threading.active_count() == before
+        item_1_failed = threading.Event()
+
+        def work(i):
+            if i == 0:
+                item_1_failed.wait(10.0)
+                raise MemberFailure("item 0 failed")
+            if i == 1:
+                item_1_failed.set()
+                raise MemberFailure("item 1 failed")
+            return i
+
+        with pytest.raises(MemberFailure, match="^item 0 failed$"):
+            dy.thread_map(work, range(4))
+        assert threading.active_count() == before

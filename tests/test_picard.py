@@ -1,6 +1,7 @@
 """Mild-solution map and fixed-point machinery."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hydrostat.dynamics import RadiusSchedule, SimConfig
 from hydrostat.gevrey import GevreyParams
 from hydrostat.picard import MildProblem, PicardDivergenceError
 from hydrostat.spectral import SpectralVelocity
+from hydrostat.stochastic import BrownianPath
 
 
 def make_cfg(N=8, nu=2.0, alpha=0.2, beta=0.5):
@@ -128,6 +130,46 @@ class TestDuhamelMap:
         prob = MildProblem(u0=u0, cfg=make_cfg(), horizon=0.05, n_nodes=9)
         with pytest.raises(ValueError, match="nodes"):
             picard.duhamel_map([u0.copy()] * 5, prob, dy._zero_path(0.05, 1e-3))
+
+
+class TestThreadedTransports:
+    def test_solve_does_not_depend_on_cpu_count(self, set_cpus):
+        # on a Brownian path every node is its own transport
+        horizon = 0.05
+        prob = MildProblem(u0=small_data(), cfg=make_cfg(), horizon=horizon,
+                           n_nodes=17, tol=1e-12)
+        path = stochastic.sample_path(horizon, horizon / 16, seed=3)
+        results = []
+        for cpus in (1, 2):
+            set_cpus(cpus)
+            before = threading.active_count()
+            results.append(picard.fixed_point_solve(prob, path))
+            assert threading.active_count() == before
+        one, two = results
+        assert one.iterations == two.iterations > 2
+        assert one.contraction_estimate == two.contraction_estimate
+        assert one.difference_history == two.difference_history
+        assert [u.coeffs.tobytes() for u in one.trajectory] == \
+            [u.coeffs.tobytes() for u in two.trajectory]
+
+    def test_transport_error_reaches_caller(self, set_cpus):
+        # nu*W passes the exponent cap from node 5 on, at a different W on
+        # each node: the error is the one node 5 raises, as in the loop
+        prob = MildProblem(u0=small_data(), cfg=make_cfg(), horizon=0.05, n_nodes=9)
+        times = prob.times
+        values = np.where(np.arange(len(times)) < 5, 0.0, 1e3 * np.arange(len(times)))
+        path = BrownianPath(times=times, values=values, seed=None, dt=float(times[1]))
+        trajectory = [prob.u0] * len(times)
+        messages = []
+        for cpus in (1, 2):
+            set_cpus(cpus)
+            before = threading.active_count()
+            with pytest.raises(gevrey.ExponentCapError) as info:
+                picard.duhamel_map(trajectory, prob, path)
+            assert threading.active_count() == before
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert "(phi=10000," in messages[0]  # nu * W at node 5
 
 
 class TestFixedPoint:
