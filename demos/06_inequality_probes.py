@@ -7,7 +7,7 @@ transport constants used by the damping schedule.
 
 import numpy as np
 
-from hydrostat import analysis, gevrey, picard
+from hydrostat import analysis, gevrey, initial_data, picard
 
 print("convolution exponent feasibility (s = 1):")
 for ss in (1.55, 1.60, 1.61, 1.65, 1.80, 1.95):
@@ -48,7 +48,7 @@ print(f"  dissipation margin {rep.dissipation_margin:.4g}, "
       f"data margin {rep.data_margin:.4g}, ok = {rep.ok}")
 
 print("\ntwisted cancellation diagnostic |<B(u,u), u>| / |u|^3:")
-u = analysis.decayed_random_velocity(8, 4.0, 9)
+u = initial_data.random_decay(8, 2.0, 1.0, seed=9)
 for nu_w in (0.0, 0.05, 0.1, 0.2):
     val = analysis.twisted_cancellation_residual(u, 1.0, nu_w, 1.0)
     print(f"  nu*W = {nu_w:4.2f}: {val:.4e}")

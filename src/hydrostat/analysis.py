@@ -4,10 +4,12 @@ constants entering the damping radius schedule and the diffusion smallness
 threshold.
 
 All ratio probes are scale-invariant (numerator and denominator carry the
-same homogeneity degree), and every estimator is a deterministic function
-of its seed.  Whether the sampled maxima approach the true suprema is
-unknowable at finite truncation; the N- and sample-count stability scans in
-the test suite are the only evidence.
+same homogeneity degree).  Both constants come from one sampling loop over
+seeded ``initial_data.random_decay`` probes and one weighted pairing, so
+each estimator is a deterministic function of its seed.  Whether the
+sampled maxima approach the true suprema is unknowable at finite
+truncation; the N- and sample-count stability scans in the test suite are
+the only evidence.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dynamics, gevrey, spectral, stochastic
+from . import dynamics, gevrey, initial_data, spectral, stochastic
 from .gevrey import GevreyParams
 from .spectral import SpectralScalar, SpectralVelocity
 
@@ -33,7 +35,6 @@ __all__ = [
     "damping_threshold_check",
     "ThresholdReport",
     "twisted_cancellation_residual",
-    "decayed_random_velocity",
 ]
 
 # Radii phi at which the estimators sample their ratios, and the frozen noise
@@ -129,6 +130,21 @@ def product_inequality_ratio(f: SpectralScalar, g: SpectralScalar, r: float,
     return lhs / rhs
 
 
+def _pairing_ratio(u: SpectralVelocity, terms, sigma: float, s: float,
+                   gain: float, phi: float) -> float:
+    """Largest |<exp(phi*A^s) A^(sigma*s) b, exp(phi*A^s) A^(sigma*s) u>| over
+    b in ``terms``, divided by |u|_{sigma} * |u|_{sigma+gain}^2 in homogeneous
+    Gevrey norms of order s at radius phi; 0 when that right side vanishes."""
+    rhs = (gevrey.norm(u, "Gevrey_dot", GevreyParams(sigma, s, phi))
+           * gevrey.norm(u, "Gevrey_dot", GevreyParams(sigma + gain, s, phi)) ** 2)
+    if not rhs > 0.0:
+        return 0.0
+    kk = spectral.abs_k(u.N)
+    weight = np.exp(2.0 * phi * kk ** s) * kk ** (2.0 * sigma * s)
+    return max(abs(float(np.sum(weight * b.coeffs * np.conj(u.coeffs)).real))
+               for b in terms) / rhs
+
+
 def nonlinear_estimate_ratio(u: SpectralVelocity, sigma: float, phi: float) -> float:
     """Left/right ratio of the analytic-class transport estimate.
 
@@ -138,22 +154,7 @@ def nonlinear_estimate_ratio(u: SpectralVelocity, sigma: float, phi: float) -> f
     """
     if sigma <= 2.0:
         raise ValueError(f"transport estimate requires sigma > 2, got {sigma}")
-    if float(np.abs(u.coeffs).max()) == 0.0:
-        return 0.0
-    return _transport_ratio(u, spectral.transport_bilinear(u), sigma, phi)
-
-
-def _transport_ratio(u: SpectralVelocity, q: SpectralVelocity, sigma: float,
-                     phi: float) -> float:
-    """``nonlinear_estimate_ratio`` given q = Q(u, u), which does not depend
-    on the radius phi; 0 for u = 0."""
-    kk = spectral.abs_k(u.N)
-    weight = np.exp(2.0 * phi * kk) * kk ** (2.0 * sigma)
-    lhs = abs(float(np.sum(weight * q.coeffs * np.conj(u.coeffs)).real))
-    n_sig = gevrey.norm(u, "Gevrey_dot", GevreyParams(sigma, 1.0, phi))
-    n_half = gevrey.norm(u, "Gevrey_dot", GevreyParams(sigma + 0.5, 1.0, phi))
-    rhs = n_sig * n_half ** 2
-    return lhs / rhs if rhs > 0.0 else 0.0
+    return _pairing_ratio(u, [spectral.transport_bilinear(u)], sigma, 1.0, 0.5, phi)
 
 
 @dataclass(frozen=True)
@@ -163,17 +164,6 @@ class ConstantEstimate:
     value: float
     p95: float
     n_samples: int
-
-    def __float__(self) -> float:
-        return self.value
-
-
-def decayed_random_velocity(N: int, decay: float, seed) -> SpectralVelocity:
-    """Projected probe field with independent complex Gaussian coefficients
-    shaped by |k|^-decay; the decay keeps low-radius Gevrey norms finite so
-    ratios are well scaled."""
-    return spectral.project_constraints(
-        spectral.random_coefficients(N, seed, decay=decay))
 
 
 def decayed_random_scalar(N: int, decay: float, seed) -> SpectralScalar:
@@ -185,15 +175,12 @@ def decayed_random_scalar(N: int, decay: float, seed) -> SpectralScalar:
     return SpectralScalar(c, N)
 
 
-def _sampled_constant(ratios: list) -> ConstantEstimate:
-    arr = np.sort(np.asarray(ratios))
-    return ConstantEstimate(value=float(arr[-1]),
-                            p95=float(np.quantile(arr, 0.95)),
-                            n_samples=len(ratios))
-
-
-def estimate_c_sigma(sigma: float, N: int, n_samples: int, seed) -> ConstantEstimate:
-    """Empirical constant of the transport estimate over seeded samples.
+def _sampled_constant(sigma: float, s: float, N: int, n_samples: int, seed,
+                      ratio) -> ConstantEstimate:
+    """Maximum and 95th percentile of ``ratio(u)`` over the seeded probes
+    ``initial_data.random_decay(N, sigma, s)``, whose |k|^-(sigma*s+2)
+    spectrum keeps the low-radius Gevrey norms finite so ratios are well
+    scaled.
 
     The samples run concurrently on ``dynamics.thread_map``, one task each;
     each is computed alone, so the estimate does not depend on the CPU
@@ -201,16 +188,27 @@ def estimate_c_sigma(sigma: float, N: int, n_samples: int, seed) -> ConstantEsti
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
+    ratios = dynamics.thread_map(
+        lambda i: ratio(initial_data.random_decay(
+            N, sigma, s, seed=stochastic.path_seed(seed, i))),
+        range(n_samples))
+    arr = np.sort(np.asarray(ratios))
+    return ConstantEstimate(value=float(arr[-1]),
+                            p95=float(np.quantile(arr, 0.95)),
+                            n_samples=n_samples)
+
+
+def estimate_c_sigma(sigma: float, N: int, n_samples: int, seed) -> ConstantEstimate:
+    """Empirical constant of the transport estimate over seeded samples: the
+    largest ``nonlinear_estimate_ratio`` over the radii ``PHIS``."""
     if sigma <= 2.0:
         raise ValueError(f"transport estimate requires sigma > 2, got {sigma}")
-    decay = sigma + 2.0
 
-    def sample(i: int) -> float:
-        u = decayed_random_velocity(N, decay, stochastic.path_seed(seed, i))
-        q = spectral.transport_bilinear(u)  # one Q(u, u) for every radius
-        return max(_transport_ratio(u, q, sigma, phi) for phi in PHIS)
+    def ratio(u: SpectralVelocity) -> float:
+        q = [spectral.transport_bilinear(u)]  # one Q(u, u) for every radius
+        return max(_pairing_ratio(u, q, sigma, 1.0, 0.5, phi) for phi in PHIS)
 
-    return _sampled_constant(dynamics.thread_map(sample, range(n_samples)))
+    return _sampled_constant(sigma, 1.0, N, n_samples, seed, ratio)
 
 
 def estimate_c_star(sigma: float, s: float, N: int, n_samples: int,
@@ -227,39 +225,15 @@ def estimate_c_star(sigma: float, s: float, N: int, n_samples: int,
     slab projector is a real symmetric per-mode matrix and u is projected,
     so the radially weighted pairing equals that of the unprojected term in
     exact arithmetic.
-
-    The samples run concurrently on ``dynamics.thread_map``, one task each;
-    each is computed alone, so the estimate does not depend on the CPU
-    count.
     """
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
-    decay = sigma * s + 2.0
-    kk = spectral.abs_k(N)
-    weights = {phi: np.exp(2.0 * phi * kk ** s) * kk ** (2.0 * sigma * s) for phi in PHIS}
+    def ratio(u: SpectralVelocity) -> float:
+        # one transport per distinct exponent nu*W
+        b = {w: dynamics.twisted_transport(u, 1.0, w, s)
+             for w in {frac * phi for phi in PHIS for frac in W_FRACTIONS}}
+        return max(_pairing_ratio(u, [b[frac * phi] for frac in W_FRACTIONS],
+                                  sigma, s, 1.0, phi) for phi in PHIS)
 
-    def sample(i: int) -> float:
-        u = decayed_random_velocity(N, decay, stochastic.path_seed(seed, i))
-        n_sig = {phi: gevrey.norm(u, "Gevrey_dot", GevreyParams(sigma, s, phi))
-                 for phi in PHIS}
-        n_one = {phi: gevrey.norm(u, "Gevrey_dot", GevreyParams(sigma + 1.0, s, phi))
-                 for phi in PHIS}
-        b_cache: dict = {}
-        best = 0.0
-        for phi in PHIS:
-            for frac in W_FRACTIONS:
-                nu_w = frac * phi  # stays within the radius: nu*W <= phi
-                key = round(nu_w, 15)
-                if key not in b_cache:
-                    b_cache[key] = dynamics.twisted_transport(u, 1.0, nu_w, s)
-                b = b_cache[key]
-                lhs = abs(float(np.sum(weights[phi] * b.coeffs * np.conj(u.coeffs)).real))
-                rhs = n_sig[phi] * n_one[phi] ** 2
-                if rhs > 0.0:
-                    best = max(best, lhs / rhs)
-        return best
-
-    return _sampled_constant(dynamics.thread_map(sample, range(n_samples)))
+    return _sampled_constant(sigma, s, N, n_samples, seed, ratio)
 
 
 @dataclass(frozen=True)

@@ -73,11 +73,17 @@ def _number_or_estimate(text: str):
     return text if text == "estimate" else float(text)
 
 
-def _resolve(value, estimator, *args):
-    """``value``, or the estimate at fixed sampling when it reads ``estimate``."""
+def _resolve(section: _Section, key: str, estimator, *args):
+    """The value of ``section.key`` (None when unset), or the estimate at fixed
+    sampling when it reads ``estimate``; an estimator's ValueError names the
+    key."""
+    value = section.get(key)
     if value != "estimate":
         return value
-    return estimator(*args, N=8, n_samples=64, seed=2026).value
+    try:
+        return estimator(*args, N=8, n_samples=64, seed=2026).value
+    except ValueError as exc:
+        raise ConfigError(f"{section.name}.{key}: {exc}") from exc
 
 
 # Every config key some command reads, with its value parser (README: "Config
@@ -190,7 +196,7 @@ def build_sim(config: dict[str, _Section], seed_override=None):
     sim = config["sim"]
     noise, nu, sigma, N = sim["noise"], sim["nu"], sim["sigma"], sim["N"]
     u0 = _build_initial_data(config["initial_data"], N)
-    c_sigma = _resolve(sim.get("c_sigma"), analysis.estimate_c_sigma, sigma)
+    c_sigma = _resolve(sim, "c_sigma", analysis.estimate_c_sigma, sigma)
     try:
         v0_norm = gevrey.norm(u0, "Gevrey", GevreyParams(sigma, 1.0, sim.get("phi0", 0.0)))
         radius = _build_radius(sim, nu, v0_norm, c_sigma)
@@ -294,7 +300,7 @@ def cmd_ensemble(args) -> int:
                           "must be at least 1")
 
     cfg, u0, c_sigma = build_sim(config, seed_override=args.seed)
-    c_star = _resolve(ens.get("c_star"), analysis.estimate_c_star, cfg.sigma, cfg.s)
+    c_star = _resolve(ens, "c_star", analysis.estimate_c_star, cfg.sigma, cfg.s)
     try:
         result = dynamics.run_global_experiment(
             u0, epsilon, cfg, n_paths, seed=cfg.seed,
@@ -349,7 +355,7 @@ def cmd_goodset(args) -> int:
 def _verify_cancellation(seed=0) -> dict:
     worst = 0.0
     for i in range(100):
-        u = analysis.decayed_random_velocity(8, 4.0, stochastic.path_seed(seed, i))
+        u = initial_data.random_decay(8, 2.0, 1.0, seed=stochastic.path_seed(seed, i))
         worst = max(worst, analysis.twisted_cancellation_residual(u, 1.0, 0.0, 1.0))
     return {"max_residual": worst, "tolerance": 1e-10, "ok": worst <= 1e-10}
 
@@ -392,7 +398,7 @@ def _verify_lemma_a1(seed=0) -> dict:
 def _verify_nonlinear_estimate(seed=0) -> dict:
     est1 = analysis.estimate_c_sigma(2.6, N=8, n_samples=60, seed=seed)
     est2 = analysis.estimate_c_sigma(2.6, N=8, n_samples=60, seed=seed)
-    u = analysis.decayed_random_velocity(8, 4.6, seed)
+    u = initial_data.random_decay(8, 2.6, 1.0, seed=seed)
     base = analysis.nonlinear_estimate_ratio(u, 2.6, 0.05)
     scaled = analysis.nonlinear_estimate_ratio(5.0 * u, 2.6, 0.05)
     invariant = abs(scaled - base) <= 1e-9 * max(base, 1e-300)
@@ -414,7 +420,7 @@ def _verify_picard(seed=0) -> dict:
     path = dynamics._zero_path(0.05, 1e-3)
     res = picard.fixed_point_solve(prob, path)
     again = picard.duhamel_map(res.trajectory, prob, path)
-    consistency = picard._sup_diff(res.trajectory, again, prob)
+    consistency = picard._sup_norm((a - b for a, b in zip(res.trajectory, again)), prob)
     ok = (res.contraction_estimate < 1.0 and consistency <= 2.0 * prob.tol)
     return {"iterations": res.iterations,
             "contraction_estimate": res.contraction_estimate,

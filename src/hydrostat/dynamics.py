@@ -694,6 +694,15 @@ class GlobalExperimentResult:
     nu: float
 
 
+def _check_constant(name: str, value: float | None, noise: str) -> None:
+    """ThresholdError unless the empirical constant is given, positive and
+    finite: a NaN or negative one would pass the threshold comparison."""
+    if value is None:
+        raise ThresholdError(f"{noise} experiment needs the empirical {name}")
+    if not (math.isfinite(value) and value > 0.0):
+        raise ThresholdError(f"{name} must be positive and finite, got {value}")
+
+
 def run_global_experiment(v0: SpectralVelocity, epsilon: float, cfg: SimConfig,
                           n_paths: int, seed=None, c_star: float | None = None,
                           c_sigma: float | None = None) -> GlobalExperimentResult:
@@ -701,9 +710,9 @@ def run_global_experiment(v0: SpectralVelocity, epsilon: float, cfg: SimConfig,
 
     Sets alpha = -4*ln(epsilon) and beta = nu^2/4, verifies the largeness
     condition on nu against the supplied empirical constant (c_star for
-    diffusion, c_sigma for damping), runs the ensemble, and reports the
-    completed fraction to compare against 1 - epsilon, and the count of
-    completed paths that stayed in the grid good set.
+    diffusion, c_sigma for damping; positive and finite), runs the ensemble,
+    and reports the completed fraction to compare against 1 - epsilon, and
+    the count of completed paths that stayed in the grid good set.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
@@ -714,8 +723,7 @@ def run_global_experiment(v0: SpectralVelocity, epsilon: float, cfg: SimConfig,
     beta = 0.25 * nu ** 2
 
     if cfg.noise == "diffusion":
-        if c_star is None:
-            raise ThresholdError("diffusion experiment needs the empirical c_star")
+        _check_constant("c_star", c_star, cfg.noise)
         eta = cfg.radius.eta if cfg.radius.eta > 0 else alpha / 10.0
         v0n = gevrey.norm(v0, "Gevrey", GevreyParams(cfg.sigma, cfg.s, alpha + eta))
         if nu ** 2 <= 4.0 * c_star * v0n:
@@ -724,8 +732,7 @@ def run_global_experiment(v0: SpectralVelocity, epsilon: float, cfg: SimConfig,
                 f"got nu^2 = {nu ** 2:.6g}")
         sched = RadiusSchedule.linear(alpha, beta, eta=eta)
     elif cfg.noise == "damping":
-        if c_sigma is None:
-            raise ThresholdError("damping experiment needs the empirical c_sigma")
+        _check_constant("c_sigma", c_sigma, cfg.noise)
         phi0 = cfg.radius.phi0 if cfg.radius.kind == "damping" else cfg.radius.value(0.0)
         v0n = gevrey.norm(v0, "Gevrey", GevreyParams(cfg.sigma, 1.0, phi0))
         required = (8.0 * c_sigma / phi0) * (math.exp(alpha) * v0n + 1.0)

@@ -43,8 +43,8 @@ __all__ = [
 
 
 class PicardDivergenceError(RuntimeError):
-    """No convergence within the iteration budget (horizon too large for the
-    data size)."""
+    """No convergence within the iteration budget, or an iterate that is not
+    finite (horizon too large for the data size)."""
 
 
 @dataclass(frozen=True)
@@ -75,9 +75,6 @@ class MildProblem:
         alpha = self.cfg.radius.value(0.0)
         p = GevreyParams(self.cfg.sigma, self.cfg.s, alpha)
         return 2.0 * math.sqrt(2.0) * gevrey.norm(self.u0, "Gevrey_dot", p)
-
-    def radius_at(self, t: float) -> float:
-        return self.cfg.radius.value(t)
 
 
 @lru_cache(maxsize=4)
@@ -149,20 +146,14 @@ class PicardResult:
     stayed_in_ball: bool = True
 
 
-def _sup_diff(a: list, b: list, prob: MildProblem) -> float:
+def _sup_norm(fields, prob: MildProblem) -> float:
+    """Largest Gevrey norm of ``fields``, one per node, each at its node's
+    radius; NaN or inf when a node norm is.  ``fields`` may be a generator,
+    such as one of differences, so that they are not all alive at once."""
     cfg = prob.cfg
-    worst = 0.0
-    for t, ua, ub in zip(prob.times, a, b):
-        p = GevreyParams(cfg.sigma, cfg.s, prob.radius_at(float(t)))
-        worst = max(worst, gevrey.norm(ua - ub, "Gevrey", p))
-    return worst
-
-
-def _sup_norm(a: list, prob: MildProblem) -> float:
-    cfg = prob.cfg
-    return max(
-        gevrey.norm(u, "Gevrey", GevreyParams(cfg.sigma, cfg.s, prob.radius_at(float(t))))
-        for t, u in zip(prob.times, a))
+    return float(np.max([
+        gevrey.norm(u, "Gevrey", GevreyParams(cfg.sigma, cfg.s, cfg.radius.value(float(t))))
+        for t, u in zip(prob.times, fields)]))
 
 
 def fixed_point_solve(prob: MildProblem, path: BrownianPath) -> PicardResult:
@@ -170,9 +161,9 @@ def fixed_point_solve(prob: MildProblem, path: BrownianPath) -> PicardResult:
 
     The starting trajectory is one projected datum shared by every node.
     Stops when the sup-Gevrey distance between successive trajectories drops
-    below ``prob.tol``; raises PicardDivergenceError after ``max_iter``
-    iterations, mirroring the horizon-smallness requirement of the
-    contraction construction.
+    below ``prob.tol``; raises PicardDivergenceError once that distance is
+    not finite, or after ``max_iter`` iterations, mirroring the
+    horizon-smallness requirement of the contraction construction.
     """
     u0p = spectral.project_constraints(prob.u0)
     current = [u0p] * prob.n_nodes  # one object: one transport per distinct W
@@ -182,7 +173,11 @@ def fixed_point_solve(prob: MildProblem, path: BrownianPath) -> PicardResult:
     contraction = math.nan
     for it in range(1, prob.max_iter + 1):
         nxt = duhamel_map(current, prob, path)
-        d = _sup_diff(nxt, current, prob)
+        d = _sup_norm((a - b for a, b in zip(nxt, current)), prob)
+        if not math.isfinite(d):
+            raise PicardDivergenceError(
+                f"iteration {it} is not finite (difference {d}); "
+                "shrink the horizon or the data")
         diffs.append(d)
         current = nxt
         sup = _sup_norm(current, prob)

@@ -10,7 +10,8 @@ import math
 import numpy as np
 import pytest
 
-from hydrostat import analysis, dynamics, gevrey, initial_data, picard, spectral, stochastic
+from hydrostat import (analysis, bench_cli, dynamics, gevrey, initial_data, picard,
+                      spectral, stochastic)
 from hydrostat.dynamics import RadiusSchedule, SimConfig
 from hydrostat.gevrey import GevreyParams
 from hydrostat.stochastic import GoodSetParams
@@ -82,17 +83,11 @@ def test_criterion_03_conservation_baseline():
 
 
 def test_criterion_04_exponent_boundary():
-    grid = [round(1.55 + 0.05 * i, 2) for i in range(9)]
-    verdicts = []
-    agree = True
-    for ss in grid:
-        a = analysis.feasible_exponents(ss, 1.0) is not None
-        b = analysis.exponent_grid_search(ss, 1.0) is not None
-        agree = agree and a == b
-        verdicts.append(a)
-    transition = (not verdicts[grid.index(1.6)]) and verdicts[grid.index(1.65)]
-    report(4, agree and transition,
-           f"verdicts {dict(zip(grid, verdicts))}, oracle agreement {agree}")
+    # the sigma*s sweep of `hydrostat verify exponents`
+    result = bench_cli.VERIFY_IMPL["exponents"]()
+    verdicts = {row["sigma_s"]: row["feasible"] for row in result["table"]}
+    agree = all(row["feasible"] == row["oracle"] for row in result["table"])
+    report(4, result["ok"], f"verdicts {verdicts}, oracle agreement {agree}")
 
 
 def test_criterion_05_linear_exactness(no_transport, run_states):

@@ -7,7 +7,7 @@ import pytest
 from dataclasses import replace
 
 from hydrostat import analysis as an
-from hydrostat import spectral
+from hydrostat import dynamics, initial_data, spectral
 from hydrostat.analysis import ExponentPair
 from hydrostat.spectral import SpectralScalar
 
@@ -141,6 +141,11 @@ class TestEstimators:
         est = an.estimate_c_star(1.9, 1.0, N=8, n_samples=64, seed=2026)
         assert est.value == pytest.approx(5.7518363639843796e-05, rel=1e-12)
 
+    def test_c_sigma_cli_estimate_value(self):
+        # the value `c_sigma = estimate` resolves to in the CLI, bitwise
+        est = an.estimate_c_sigma(2.6, N=8, n_samples=64, seed=2026)
+        assert est.value == float.fromhex("0x1.f88318974e29fp-12")
+
     def test_c_sigma_one_transport_per_sample(self, transport_calls):
         # Q(u, u) does not depend on the radius: one transport per sample,
         # and the value is bitwise the per-radius maximum of the public ratio
@@ -149,10 +154,25 @@ class TestEstimators:
         assert len(transport_calls) == k
         expect = max(
             an.nonlinear_estimate_ratio(u, 2.6, phi) for i in range(k)
-            for u in [an.decayed_random_velocity(
-                6, 4.6, np.random.SeedSequence(entropy=4, spawn_key=(i,)))]
+            for u in [initial_data.random_decay(
+                6, 2.6, 1.0, seed=np.random.SeedSequence(entropy=4, spawn_key=(i,)))]
             for phi in an.PHIS)
         assert est.value == expect
+
+    def test_c_star_one_transport_per_exponent(self, monkeypatch):
+        # the frozen exponents nu*W = fraction * phi take the distinct values
+        # 0 and 0.05: two twisted transports per sample, whatever the radius
+        calls = []
+        transport = dynamics.twisted_transport
+
+        def counted(u, nu, w, s):
+            calls.append(w)
+            return transport(u, nu, w, s)
+
+        monkeypatch.setattr(dynamics, "twisted_transport", counted)
+        k = 3
+        an.estimate_c_star(1.9, 0.9, N=4, n_samples=k, seed=4)
+        assert sorted(calls) == [0.0] * k + [0.05] * k
 
     def test_estimates_do_not_depend_on_cpu_count(self, set_cpus):
         estimates = []

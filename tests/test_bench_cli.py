@@ -120,18 +120,39 @@ class TestStrictInputs:
         assert err == f"config error: {message}\n" and out == ""
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command,edit,message", [
-        ("simulate", ("nu = 1.5", "nu = nan"), "sim: nu must be finite, got nan"),
-        ("ensemble", ("nu = 1.5", "nu = nan"), "sim: nu must be finite, got nan"),
-        ("ensemble", ("c_sigma = 0.001", "c_sigma = 10"), "ensemble: need nu^2 >= "),
-    ], ids=["simulate", "ensemble", "ensemble-threshold"])
+    # the damping ensemble below as a diffusion ensemble with c_star = {}
+    DIFFUSION = {"noise = damping": "noise = diffusion", "s = 0.0": "s = 1.0",
+                 "\nsigma = 2.6\n": "\nsigma = 1.9\n",
+                 "epsilon = 0.5": "epsilon = 0.5\nc_star = {}"}
+
+    @pytest.mark.parametrize("command,edits,message", [
+        ("simulate", {"nu = 1.5": "nu = nan"}, "sim: nu must be finite, got nan"),
+        ("ensemble", {"nu = 1.5": "nu = nan"}, "sim: nu must be finite, got nan"),
+        ("ensemble", {"c_sigma = 0.001": "c_sigma = 10"}, "ensemble: need nu^2 >= "),
+        # a constant that is not positive and finite would pass the threshold
+        ("ensemble", {"c_sigma = 0.001": "c_sigma = nan"},
+         "ensemble: c_sigma must be positive and finite, got nan\n"),
+        ("ensemble", {"c_sigma = 0.001": "c_sigma = -5"},
+         "ensemble: c_sigma must be positive and finite, got -5.0\n"),
+        ("ensemble", {**DIFFUSION, "c_star = {}": "c_star = nan"},
+         "ensemble: c_star must be positive and finite, got nan\n"),
+        ("ensemble", {**DIFFUSION, "c_star = {}": "c_star = -5"},
+         "ensemble: c_star must be positive and finite, got -5.0\n"),
+        ("ensemble", {"c_sigma = 0.001": "c_sigma = estimate",
+                      "\nsigma = 2.6\n": "\nsigma = 2\n"},
+         "sim.c_sigma: transport estimate requires sigma > 2, got 2.0\n"),
+    ], ids=["simulate", "ensemble", "ensemble-threshold", "c_sigma-nan",
+            "c_sigma-negative", "c_star-nan", "c_star-negative", "c_sigma-estimate"])
     def test_config_error_creates_no_output_dir(self, tmp_path, capsys,
-                                                command, edit, message):
+                                                command, edits, message):
         # every check, the experiment's thresholds included, runs before the
         # output directory is created
         text = TestEnsemble.ENSEMBLE_CONFIG.format(c_sigma="0.001", paths=2,
                                                    outdir=tmp_path / "config_dir")
-        cfg = write_config(tmp_path, text.replace(*edit))
+        for old, new in edits.items():
+            assert old in text
+            text = text.replace(old, new)
+        cfg = write_config(tmp_path, text)
         out = tmp_path / "out"
         assert bench_cli.main([command, "--config", cfg, "--quiet", "--out", str(out)]) \
             == bench_cli.EXIT_CONFIG

@@ -196,7 +196,8 @@ class TestFixedPoint:
                            tol=1e-11)
         res = picard.fixed_point_solve(prob, dy._zero_path(0.05, 1e-3))
         again = picard.duhamel_map(res.trajectory, prob, dy._zero_path(0.05, 1e-3))
-        assert picard._sup_diff(res.trajectory, again, prob) <= 2.0 * prob.tol
+        assert picard._sup_norm((a - b for a, b in zip(res.trajectory, again)),
+                                prob) <= 2.0 * prob.tol
         assert res.contraction_estimate < 1.0
         assert res.stayed_in_ball
         assert res.sup_norm <= res.ball_radius == prob.default_ball_radius()
@@ -257,6 +258,21 @@ class TestFixedPoint:
                            tol=1e-10, max_iter=12)
         with pytest.raises(PicardDivergenceError):
             picard.fixed_point_solve(prob, dy._zero_path(2.0, 1e-2))
+
+    @pytest.mark.parametrize("target", [1e4, 1e6, 1e8])
+    def test_overflowed_iteration_is_divergence(self, target):
+        # large data overflows the iterates: the differences read inf, inf
+        # and then 0.0 from norms of NaN, which passed the tolerance as a
+        # converged solve with a non-finite trajectory.  The overflow warns
+        # on its way; what is checked is the solve's verdict.
+        cfg = SimConfig(noise="diffusion", nu=2.0, s=1.0, sigma=1.9,
+                        radius=RadiusSchedule.linear(0.2, 0.5), n_modes=6,
+                        dt=1e-3, horizon=0.5)
+        prob = MildProblem(u0=small_data(N=6, target=target), cfg=cfg, horizon=0.5,
+                           n_nodes=17, tol=1e-10)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(PicardDivergenceError, match="is not finite"):
+            picard.fixed_point_solve(prob, dy._zero_path(0.5, 1e-3))
 
 
 class TestKernelBoundProbe:
