@@ -134,10 +134,14 @@ def _pairing_ratio(u: SpectralVelocity, terms, sigma: float, s: float,
                    gain: float, phi: float) -> float:
     """Largest |<exp(phi*A^s) A^(sigma*s) b, exp(phi*A^s) A^(sigma*s) u>| over
     b in ``terms``, divided by |u|_{sigma} * |u|_{sigma+gain}^2 in homogeneous
-    Gevrey norms of order s at radius phi; 0 when that right side vanishes."""
+    Gevrey norms of order s at radius phi; 0 when that right side vanishes.
+    Raises ValueError when it is not finite, as a NaN or infinite probe
+    would otherwise drop out of the maximum."""
     rhs = (gevrey.norm(u, "Gevrey_dot", GevreyParams(sigma, s, phi))
            * gevrey.norm(u, "Gevrey_dot", GevreyParams(sigma + gain, s, phi)) ** 2)
-    if not rhs > 0.0:
+    if not math.isfinite(rhs):
+        raise ValueError(f"pairing ratio needs a finite right side, got {rhs}")
+    if rhs == 0.0:
         return 0.0
     kk = spectral.abs_k(u.N)
     weight = np.exp(2.0 * phi * kk ** s) * kk ** (2.0 * sigma * s)
@@ -182,13 +186,14 @@ def _sampled_constant(sigma: float, s: float, N: int, n_samples: int, seed,
     spectrum keeps the low-radius Gevrey norms finite so ratios are well
     scaled.
 
-    The samples run concurrently on ``dynamics.thread_map``, one task each;
-    each is computed alone, so the estimate does not depend on the CPU
-    count.
+    The samples run concurrently on the threads of ``dynamics.parallel_map``,
+    one task each, as their transports' FFTs run without the interpreter
+    lock; each is computed alone, so the estimate does not depend on the
+    CPU count.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    ratios = dynamics.thread_map(
+    ratios = dynamics.parallel_map(
         lambda i: ratio(initial_data.random_decay(
             N, sigma, s, seed=stochastic.path_seed(seed, i))),
         range(n_samples))

@@ -9,13 +9,14 @@ Config files use a flat ``key = value`` grammar with ``[section]`` headers
 and ``#`` comments; ``CONFIG_KEYS`` names every accepted section and key.
 Outputs are a fixed-column CSV time series per run and JSON-lines
 summaries; identical config and seed reproduce byte-identical files.
-Diffusion ensemble members run on a pool of forked worker processes, one
-per CPU in the process's affinity mask (``taskset -c 0`` runs them one
-after another), and damping members share one clocked solve; every member
-equals its run alone and the records keep path-index order, so the output
-files do not depend on the worker count.  A bad config
-or argument (an unknown section, key or flag, or a bad value such as a
-non-finite step) exits with code 2.
+Diffusion ensemble members run on the forked worker processes of
+``dynamics.parallel_map``, one per CPU in the process's affinity mask
+(``taskset -c 0`` runs them one after another), as the interpreter lock
+would serialize their Python glue on threads; damping members share one
+clocked solve.  Every member equals its run alone and the records keep
+path-index order, so the output files do not depend on the worker count.
+A bad config or argument (an unknown section, key or flag, or a bad value
+such as a non-finite step) exits with code 2.
 """
 
 from __future__ import annotations
@@ -303,8 +304,7 @@ def cmd_ensemble(args) -> int:
     c_star = _resolve(ens, "c_star", analysis.estimate_c_star, cfg.sigma, cfg.s)
     try:
         result = dynamics.run_global_experiment(
-            u0, epsilon, cfg, n_paths, seed=cfg.seed,
-            c_star=c_star, c_sigma=c_sigma)
+            u0, epsilon, cfg, n_paths, c_star=c_star, c_sigma=c_sigma)
     except dynamics.ThresholdError as exc:
         raise ConfigError(f"ensemble: {exc}") from exc
     except gevrey.ExponentCapError as exc:

@@ -21,6 +21,7 @@ u(t_k) is read off it by four-node cubic Lagrange interpolation.
 
 from __future__ import annotations
 
+import heapq
 import math
 import os
 from collections import deque
@@ -45,7 +46,7 @@ __all__ = [
     "step_damping",
     "run",
     "recover_solution",
-    "thread_map",
+    "parallel_map",
     "run_ensemble",
     "run_global_experiment",
     "GlobalExperimentResult",
@@ -525,67 +526,50 @@ def _damping_nodes(z0: SpectralVelocity, dt: float):
         yield nodes[-1]
 
 
-def _clocked_sweep(z0: SpectralVelocity, cfg: SimConfig, clocks: list, visit) -> None:
-    """Hand ``Z(clocks[p][k])`` to ``visit(p, k, z)`` for every k >= 1, in
-    increasing clock order, where Z is the nu = 0 solution from ``z0``.
-
-    Z is stepped on the error-controlled nodes of ``_damping_nodes``, and a
-    query ``tau`` is read off the four nodes ``i-1 .. i+2`` around it,
-    ``t_i <= tau < t_{i+1}`` (``0 .. 3`` near 0), by cubic Lagrange
-    interpolation, so what it reads depends on ``tau`` alone, never on the
-    other clocks.  The sweep holds four nodes.  A path drops out once
-    ``visit`` returns False; no node is stepped that no running path needs,
-    and the sweep returns early where the nodes end.
-    """
-    tau = np.concatenate([c[1:] for c in clocks])
-    owner = np.concatenate([np.full(len(c) - 1, p) for p, c in enumerate(clocks)])
-    index = np.concatenate([np.arange(1, len(c)) for c in clocks])
-    stepper = _damping_nodes(z0, cfg.dt)
-    nodes = deque(maxlen=4)
-    running = [True] * len(clocks)
-    for q in np.lexsort((index, owner, tau)):
-        p = int(owner[q])
-        if not running[p]:
-            continue
-        while len(nodes) < 4 or nodes[-2][0] <= tau[q]:
-            node = next(stepper, None)
-            if node is None:
-                return
-            nodes.append(node)
-        z = SpectralVelocity(_cubic(float(tau[q]), nodes), z0.N)
-        running[p] = visit(p, int(index[q]), z)
-
-
 def _run_clocked(u0: SpectralVelocity, cfg: SimConfig, paths: list,
                  names: list) -> list[RunRecord]:
     """Damping runs as the deterministic flow on each path's random clock.
 
     With s = 0 and W frozen per step, ``u(t_k) = exp(-nu^2 t_k/2) Z(tau_k)``
     with ``tau = stochastic.damping_clock(path, nu)`` and Z the nu = 0
-    solution from the projected datum, which one ``_clocked_sweep`` shares
-    between all the paths.  Records and statuses follow ``run``'s rules in
-    step order; a step from an index past the clock's end stops at the
-    exponent cap, and a run still going where the sweep's nodes end (a
-    non-finite node, or a step lost to round-off) reads 'blowup' at its
-    next step's end, sampled as infinite.
+    solution from the projected datum, one Z for all the paths.  Z is
+    stepped on the error-controlled nodes of ``_damping_nodes``, and the
+    queries ``(tau_k, path, k)`` of every path are answered in one
+    increasing order: ``tau_k`` is read off the four nodes ``i-1 .. i+2``
+    around it, ``t_i <= tau_k < t_{i+1}`` (``0 .. 3`` near 0), by cubic
+    Lagrange interpolation, so what a path reads depends on its clock alone,
+    never on the other paths.  Four nodes are held, and no node is stepped
+    that no running path needs.
+
+    Records and statuses follow ``run``'s rules in step order; a step from
+    an index past the clock's end stops at the exponent cap, and a run still
+    going where the nodes end (a non-finite node, or a step lost to
+    round-off) reads 'blowup' at its next step's end, sampled as infinite.
     """
     z0 = spectral.project_constraints(u0)
     traces = [_Trace(cfg, path, name) for path, name in zip(paths, names)]
-    clocks = []
-    for trace in traces:  # W(0) = 0, so a clock runs at least to t_1
-        tau = stochastic.damping_clock(trace.path, cfg.nu)
-        clocks.append(tau if trace.start(z0) else tau[:1])
-
-    def visit(p: int, k: int, z: SpectralVelocity) -> bool:
-        trace = traces[p]
-        u = math.exp(-0.5 * cfg.nu ** 2 * trace.times[k]) * z
-        if trace.advance(k - 1, u) and k == len(clocks[p]) - 1:
-            return trace.stop(STATUS_EXPONENT_CAP, k)
-        return trace.status is None
-
-    _clocked_sweep(z0, cfg, clocks, visit)
+    # W(0) = 0, so a clock runs at least to t_1
+    clocks = [stochastic.damping_clock(path, cfg.nu).tolist() for path in paths]
     for trace in traces:
-        if trace.status is None:  # the sweep's nodes ended
+        trace.start(z0)
+    stepper = _damping_nodes(z0, cfg.dt)
+    nodes = deque(maxlen=4)
+    for tau, p, k in heapq.merge(*([(clock[k], p, k) for k in range(1, len(clock))]
+                                   for p, clock in enumerate(clocks))):
+        trace = traces[p]
+        if trace.status is not None:
+            continue
+        try:
+            while len(nodes) < 4 or nodes[-2][0] <= tau:
+                nodes.append(next(stepper))
+        except StopIteration:  # the nodes ended
+            break
+        u = math.exp(-0.5 * cfg.nu ** 2 * trace.times[k]) \
+            * SpectralVelocity(_cubic(tau, nodes), z0.N)
+        if trace.advance(k - 1, u) and k == len(clocks[p]) - 1:
+            trace.stop(STATUS_EXPONENT_CAP, k)
+    for trace in traces:
+        if trace.status is None:  # the nodes ended
             k = trace.k + 1
             trace.rows.append((float(trace.times[k]), float(trace.path.values[k]),
                                cfg.radius.value(float(trace.times[k])),
@@ -594,91 +578,77 @@ def _run_clocked(u0: SpectralVelocity, cfg: SimConfig, paths: list,
     return [trace.result() for trace in traces]
 
 
-def _member_path(cfg: SimConfig, base_seed, i: int) -> BrownianPath:
-    if cfg.noise == "none":
-        return _zero_path(cfg.horizon, cfg.dt)
-    return stochastic.sample_path(cfg.horizon, cfg.dt, stochastic.path_seed(base_seed, i))
+_fork_fn = None  # a forked worker's function, set by its pool initializer
 
 
-def _member(job: tuple, i: int) -> RunRecord:
-    """Member ``i`` of the ensemble job ``(u0, cfg, base_seed, names)``."""
-    u0, cfg, base_seed, names = job
-    return run(u0, cfg, _member_path(cfg, base_seed, i), name=names[i])
+def _set_fork_fn(fn) -> None:
+    global _fork_fn
+    _fork_fn = fn
 
 
-_worker_job = None  # a pool worker's ensemble job, set by its initializer
-
-
-def _set_worker_job(*job) -> None:
-    global _worker_job
-    _worker_job = job
-
-
-def _worker_member(i: int) -> RunRecord:
-    return _member(_worker_job, i)
+def _call_fork_fn(x):
+    return _fork_fn(x)
 
 
 def _cpu_count() -> int:
     """CPUs in this process's affinity mask, or 1 on a platform without CPU
-    affinity: the size of ``run_ensemble``'s fork pool and of
-    ``thread_map``."""
+    affinity (every platform with it can fork): the worker count of
+    ``parallel_map``."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def thread_map(fn, items) -> list:
-    """``[fn(x) for x in items]`` on ``min(_cpu_count(), len(items))`` threads,
+def parallel_map(fn, items, fork: bool = False) -> list:
+    """``[fn(x) for x in items]`` on ``min(_cpu_count(), len(items))`` workers,
     and in this thread when that is 1.
 
-    Meant for independent transports, whose FFTs run without the interpreter
-    lock.  Each item is computed alone, so the results do not depend on the
-    thread count.  They come back in item order; the error of the first
-    failing item is raised, as the loop would raise it; and every thread has
-    ended when the call returns, so a later fork copies none.
+    The workers are threads by default, for independent transports, whose
+    FFTs run without the interpreter lock: two threads run N = 16
+    transports at 2.0-2.4x the speed of one.  ``fork=True`` forks worker
+    processes instead, for whole N = 4 runs, whose Python glue the lock
+    serializes: two threads run those at 0.7-0.8x.  A forked worker
+    inherits ``fn``, closures included, as its pool initializer's argument,
+    so only an item goes to it and only its result comes back.
+
+    Each item is computed alone, so the results do not depend on the worker
+    count.  They come back in item order; the error of the first failing
+    item is raised with its type and message, as the loop would raise it;
+    and no worker outlives the call, so a later fork copies none.
     """
     items = list(items)
     workers = min(_cpu_count(), len(items))
     if workers <= 1:
         return [fn(x) for x in items]
-    import concurrent.futures  # as in run_ensemble
-    with concurrent.futures.ThreadPoolExecutor(workers) as pool:
-        return list(pool.map(fn, items))
+    import concurrent.futures  # here, so that callers that never pool do not pay for it
+    if not fork:
+        with concurrent.futures.ThreadPoolExecutor(workers) as pool:
+            return list(pool.map(fn, items))
+    import multiprocessing
+    with concurrent.futures.ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork"),
+            initializer=_set_fork_fn, initargs=(fn,)) as pool:
+        return list(pool.map(_call_fork_fn, items))
 
 
-def run_ensemble(u0: SpectralVelocity, cfg: SimConfig, n_paths: int, seed=None,
-                 name: str = "") -> list[RunRecord]:
-    """Independent runs over substream-seeded paths, in path-index order:
-    member ``i`` runs on ``sample_path(T, dt, path_seed(seed, i))``, and
-    equals ``run`` on that path alone, for damping too.
+def run_ensemble(u0: SpectralVelocity, cfg: SimConfig, n_paths: int) -> list[RunRecord]:
+    """Independent runs named ``path<i>`` over substream-seeded paths, in
+    path-index order: member ``i`` runs on ``sample_path(T, dt,
+    path_seed(cfg.seed, i))``, and equals ``run`` on that path alone, for
+    damping too.
 
     Damping members share one clocked solve in this process.  Diffusion and
-    'none' members run on a pool of ``min(_cpu_count(), n_paths)`` forked
-    worker processes, and one after another when that is 1 or the platform
-    has no fork.  Processes, not ``thread_map``: two threads run N = 4
-    transports slower than one, as the interpreter lock serializes their
-    Python glue.  Each member is computed alone either way, so the records
-    do not depend on the worker count.  Workers are forked, not spawned, so
-    they inherit the imported package and the job: only a path index goes
-    to a worker and only its record comes back.  A member's error is raised
-    here with its type and message, and no worker outlives the call.
+    'none' members run on ``parallel_map``'s forked workers.
     """
     if n_paths < 1:
         raise ValueError(f"need at least one path, got n_paths = {n_paths}")
     _check_truncation(u0, cfg)
-    base_seed = cfg.seed if seed is None else seed
-    names = [f"{name}[{i}]" if name else f"path{i}" for i in range(n_paths)]
+    names = [f"path{i}" for i in range(n_paths)]
+    paths = [_zero_path(cfg.horizon, cfg.dt) if cfg.noise == "none" else
+             stochastic.sample_path(cfg.horizon, cfg.dt, stochastic.path_seed(cfg.seed, i))
+             for i in range(n_paths)]
     if cfg.noise == "damping":
-        return _run_clocked(
-            u0, cfg, [_member_path(cfg, base_seed, i) for i in range(n_paths)], names)
-    job = (u0, cfg, base_seed, names)
-    workers = min(_cpu_count(), n_paths) if hasattr(os, "fork") else 1
-    if workers > 1:  # imported here, so that callers that never pool do not pay for it
-        import concurrent.futures
-        import multiprocessing
-        with concurrent.futures.ProcessPoolExecutor(
-                workers, mp_context=multiprocessing.get_context("fork"),
-                initializer=_set_worker_job, initargs=job) as pool:
-            return list(pool.map(_worker_member, range(n_paths)))
-    return [_member(job, i) for i in range(n_paths)]
+        return _run_clocked(u0, cfg, paths, names)
+    return parallel_map(lambda i: run(u0, cfg, paths[i], names[i]), range(n_paths),
+                        fork=True)
 
 
 @dataclass
@@ -704,7 +674,7 @@ def _check_constant(name: str, value: float | None, noise: str) -> None:
 
 
 def run_global_experiment(v0: SpectralVelocity, epsilon: float, cfg: SimConfig,
-                          n_paths: int, seed=None, c_star: float | None = None,
+                          n_paths: int, c_star: float | None = None,
                           c_sigma: float | None = None) -> GlobalExperimentResult:
     """High-probability globality experiment.
 
@@ -744,7 +714,7 @@ def run_global_experiment(v0: SpectralVelocity, epsilon: float, cfg: SimConfig,
     else:
         raise ThresholdError("global experiment needs a stochastic noise kind")
 
-    records = run_ensemble(v0, replace(cfg, radius=sched), n_paths, seed=seed)
+    records = run_ensemble(v0, replace(cfg, radius=sched), n_paths)
     completed = [r for r in records if r.status == STATUS_COMPLETED]
     frac = len(completed) / n_paths
     return GlobalExperimentResult(

@@ -7,8 +7,9 @@ from the constant-in-time trajectory realizes the contraction construction;
 the measured ratio of successive differences estimates the contraction
 factor.  The map evaluates one transport per distinct (trajectory entry, W)
 pair, so the first iterate on a zero path costs a single transport, and runs
-those transports concurrently on ``dynamics.thread_map``; each is computed
-alone, so the trajectory does not depend on the CPU count.
+those transports concurrently on the threads of ``dynamics.parallel_map``,
+as their FFTs run without the interpreter lock; each is computed alone, so
+the trajectory does not depend on the CPU count.
 
 The kernel is smooth on the truncated mode set, so the trapezoid rule is
 adequate; node-doubling convergence is the verification.  High dissipation
@@ -95,7 +96,8 @@ def duhamel_map(trajectory: list, prob: MildProblem, path: BrownianPath) -> list
     trapezoid approximation of the propagated integrand over [0, t_i]; the
     output has zero mean at every node.  Nodes that hold the same trajectory
     object under equal W values are one input and share one transport; the
-    distinct transports run on ``dynamics.thread_map`` in node order.
+    distinct transports run on the threads of ``dynamics.parallel_map`` in
+    node order.
     """
     times = prob.times
     n = len(times)
@@ -114,7 +116,7 @@ def duhamel_map(trajectory: list, prob: MildProblem, path: BrownianPath) -> list
         w = path.value_at(float(t))
         keys.append((id(entry), w))
         inputs.setdefault(keys[-1], (entry, w))
-    transports = dict(zip(inputs, dynamics.thread_map(
+    transports = dict(zip(inputs, dynamics.parallel_map(
         lambda job: dynamics.twisted_transport(job[0], cfg.nu, job[1], cfg.s).coeffs,
         inputs.values())))
     integrand = [transports[key] for key in keys]

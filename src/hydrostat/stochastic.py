@@ -11,7 +11,7 @@ Refining ``dt`` under the same seed produces a *different* discrete path
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -178,18 +178,8 @@ class GoodSetEstimate:
     seed: object = field(default=None, compare=False)
 
     def as_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "std_error": self.std_error,
-            "paper_bound": self.paper_bound,
-            "exact_value": self.exact_value,
-            "n_paths": self.n_paths,
-            "n_survived": self.n_survived,
-            "T": self.T,
-            "dt": self.dt,
-        }
+        """Every field but ``seed``, the JSON record of ``hydrostat goodset``."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "seed"}
 
 
 def binomial_se(p_hat: float, n: int) -> float:

@@ -35,8 +35,8 @@ def transport_calls(monkeypatch):
 @pytest.fixture
 def set_cpus(monkeypatch):
     """``set_cpus(n)`` puts n CPUs in the affinity mask that
-    ``dynamics._cpu_count`` reads, so that its thread map and fork pool take
-    n workers."""
+    ``dynamics._cpu_count`` reads, so that ``dynamics.parallel_map`` takes n
+    workers."""
     def set_count(n):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
     return set_count

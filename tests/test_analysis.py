@@ -114,6 +114,14 @@ class TestNonlinearEstimateRatio:
         with pytest.raises(ValueError):
             an.nonlinear_estimate_ratio(projected_field(), 1.8, 0.0)
 
+    def test_nonfinite_right_side_rejected(self):
+        # a NaN right side read as ratio 0.0, so that a non-finite probe
+        # dropped out of the sampled maximum
+        u = initial_data.random_decay(4, 2.6, 1.0, seed=1)
+        u.coeffs[0, 5, 4, 5] = np.nan
+        with pytest.raises(ValueError, match="^pairing ratio needs a finite right side, got nan$"):
+            an.nonlinear_estimate_ratio(u, 2.6, 0.0)
+
     def test_scale_invariance(self, projected_field):
         u = projected_field(seed=4, decay=4.6)
         base = an.nonlinear_estimate_ratio(u, 2.6, 0.05)

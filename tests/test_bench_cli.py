@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -613,7 +614,7 @@ normalize_phi = 3.0498475944637593
         # blowup threshold, or round-off alone would decide run statuses
         parser = bench_cli.load_config(write_config(tmp_path, self.ROUNDOFF_CONFIG))
         cfg, u0, _ = bench_cli.build_sim(parser, seed_override=7)
-        result = dynamics.run_global_experiment(u0, 0.5, cfg, 8, seed=cfg.seed,
+        result = dynamics.run_global_experiment(u0, 0.5, cfg, 8,
                                                 c_star=c_star_est.value)
         for r in result.records:
             threshold = cfg.blowup_factor * r.gevrey_norm_u[0]
@@ -626,7 +627,7 @@ normalize_phi = 3.0498475944637593
         parser = bench_cli.load_config(write_config(tmp_path, self.ROUNDOFF_CONFIG))
         cfg, u0, _ = bench_cli.build_sim(parser)
         for seed in range(901, 907):
-            result = dynamics.run_global_experiment(u0, 0.5, cfg, 8, seed=seed,
+            result = dynamics.run_global_experiment(u0, 0.5, replace(cfg, seed=seed), 8,
                                                     c_star=c_star_est.value)
             for r in result.records:
                 threshold = cfg.blowup_factor * r.gevrey_norm_u[0]

@@ -2,6 +2,7 @@
 
 import math
 import multiprocessing
+import os
 import threading
 import warnings
 from dataclasses import replace
@@ -432,8 +433,8 @@ class TestEnsembleAndGlobal:
         cfg = (diffusion_cfg(N=N, T=0.02, dt=2e-3) if noise == "diffusion"
                else damping_cfg(N=N, nu=1.0, T=0.02, dt=2e-3))
         u0 = small_two_mode(N, amplitude=1e-3)
-        four = dy.run_ensemble(u0, cfg, 4, seed)
-        two = dy.run_ensemble(u0, cfg, 2, seed)
+        four = dy.run_ensemble(u0, replace(cfg, seed=seed), 4)
+        two = dy.run_ensemble(u0, replace(cfg, seed=seed), 2)
         alone = [dy.run(u0, cfg, stochastic.sample_path(
             cfg.horizon, cfg.dt, stochastic.path_seed(seed, i))) for i in range(4)]
         assert not np.array_equal(four[0].w_values, four[1].w_values)
@@ -563,33 +564,32 @@ class TestClockedDamping:
         return [stochastic.sample_path(self.T, self.DT, stochastic.path_seed(seed, i))
                 for i in range(n)]
 
-    def test_accuracy_against_substepped_oracle(self, monkeypatch):
+    def test_accuracy_against_substepped_oracle(self, monkeypatch, run_states):
         # reference: the frozen-W equation the clock solves exactly, stepped
         # per path for u itself, not on the clock, by explicit RK4 at 16
-        # substeps per step; the sweep's error follows its tolerance
+        # substeps per step; the error of run()'s states follows the
+        # tolerance of its clocked solve
         cfg, nu = self.cfg(), self.NU
         paths = self.paths(77, 4)
-        clocks = [stochastic.damping_clock(path, nu) for path in paths]
-        u0 = spectral.project_constraints(nonlinear_two_mode(self.N))
+        datum = nonlinear_two_mode(self.N)
+        u0 = spectral.project_constraints(datum)
         refs = [frozen_w_rk4(u0, path, nu, 16) for path in paths]
         moved = max(relative_error(math.exp(0.5 * nu ** 2 * self.T) * s[-1], u0)
                     for s in refs)
         assert moved > 0.3
 
-        worst, l2_first = [], []
+        worst, l2_first = [], None
         module_tol = dy.SWEEP_TOL
         for tol in (module_tol, module_tol / 10, module_tol / 100):
             monkeypatch.setattr(dy, "SWEEP_TOL", tol)
             err = np.zeros(len(paths))
-
-            def visit(p, k, z):
-                u = math.exp(-0.5 * nu ** 2 * paths[p].times[k]) * z
-                err[p] = max(err[p], relative_error(u, refs[p][k]))
+            for p, path in enumerate(paths):
+                states = run_states(datum, cfg, path)
+                assert sorted(states) == list(range(1, len(path.times)))
+                err[p] = max(relative_error(u, refs[p][k]) for k, u in states.items())
                 if tol == module_tol and p == 0:
-                    l2_first.append(gevrey.norm(u, "L2", GevreyParams(2.6, 1.0)))
-                return True
-
-            dy._clocked_sweep(u0, cfg, clocks, visit)
+                    l2_first = [gevrey.norm(states[k], "L2", GevreyParams(2.6, 1.0))
+                                for k in sorted(states)]
             worst.append(err)
         monkeypatch.undo()
         assert np.all(worst[0] <= 1e-3), worst[0]
@@ -597,8 +597,8 @@ class TestClockedDamping:
         # are both O(h^4)
         assert np.all(worst[0] >= 5.0 * worst[1]), (worst[0], worst[1])
         assert np.all(worst[1] >= 5.0 * worst[2]), (worst[1], worst[2])
-        # run() reads the same states off the same sweep
-        rec = dy.run(nonlinear_two_mode(self.N), cfg, paths[0])
+        # the record samples the states that run() checks
+        rec = dy.run(datum, cfg, paths[0])
         np.testing.assert_array_equal(rec.l2_norm_u[1:], l2_first)
 
     def test_members_do_not_depend_on_the_ensemble(self):
@@ -708,21 +708,32 @@ class TestClockedDamping:
         assert len(steps) <= 16, len(steps)
 
 
-class TestThreadMap:
-    def test_one_cpu_runs_in_the_calling_thread(self, set_cpus):
-        set_cpus(1)
-        caller = threading.get_ident()
-        assert dy.thread_map(lambda x: threading.get_ident(), range(3)) == [caller] * 3
+def worker_id():
+    return os.getpid(), threading.get_ident()
 
-    def test_item_order_first_error_and_no_thread_remains(self, set_cpus):
+
+def workers_alive():
+    return threading.active_count(), len(multiprocessing.active_children())
+
+
+@pytest.mark.parametrize("fork", [False, True], ids=["threads", "fork"])
+class TestParallelMap:
+    """The contract of both backends of ``parallel_map``."""
+
+    def test_one_cpu_runs_in_the_calling_thread(self, set_cpus, fork):
+        set_cpus(1)
+        assert dy.parallel_map(lambda x: worker_id(), range(3), fork=fork) \
+            == [worker_id()] * 3
+
+    def test_item_order_first_error_and_no_worker_remains(self, set_cpus, fork):
         # results come in item order; item 1 fails first and item 0 after
-        # it, and the map raises item 0's error, as the loop would; every
-        # thread has ended either way
+        # it, and the map raises item 0's error with its type and message,
+        # as the loop would; every worker has ended either way
         set_cpus(2)
-        before = threading.active_count()
-        assert dy.thread_map(abs, range(-3, 3)) == [3, 2, 1, 0, 1, 2]
-        assert threading.active_count() == before
-        item_1_failed = threading.Event()
+        before = workers_alive()
+        assert dy.parallel_map(abs, range(-3, 3), fork=fork) == [3, 2, 1, 0, 1, 2]
+        assert workers_alive() == before
+        item_1_failed = multiprocessing.get_context("fork").Event()
 
         def work(i):
             if i == 0:
@@ -734,5 +745,17 @@ class TestThreadMap:
             return i
 
         with pytest.raises(MemberFailure, match="^item 0 failed$"):
-            dy.thread_map(work, range(4))
-        assert threading.active_count() == before
+            dy.parallel_map(work, range(4), fork=fork)
+        assert workers_alive() == before
+
+    def test_closure_runs_in_the_workers(self, set_cpus, fork):
+        # a closure over local state, which pickling would refuse, runs off
+        # the calling thread (in other processes, with fork)
+        set_cpus(2)
+        scale = {"by": 3}
+        out = dy.parallel_map(lambda x: (scale["by"] * x, worker_id()), range(4),
+                              fork=fork)
+        assert [x for x, _ in out] == [0, 3, 6, 9]
+        assert worker_id() not in {w for _, w in out}
+        if fork:
+            assert os.getpid() not in {pid for _, (pid, _) in out}
