@@ -42,8 +42,7 @@ print(f"  c_star(sigma=1.9, s=1)   = {cst.value:.4e}  (p95 {cst.p95:.4e})")
 
 print("\ndamping thresholds with the estimated constant "
       "(phi0=1, nu^2=60, beta=15, alpha=1, |U0|=0.05):")
-rep = analysis.damping_threshold_check(1.0, 2.6, np.sqrt(60.0), 15.0, 1.0,
-                                       0.05, cs.value)
+rep = analysis.damping_threshold_check(1.0, np.sqrt(60.0), 15.0, 1.0, 0.05, cs.value)
 print(f"  dissipation margin {rep.dissipation_margin:.4g}, "
       f"data margin {rep.data_margin:.4g}, ok = {rep.ok}")
 

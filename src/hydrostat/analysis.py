@@ -167,7 +167,6 @@ class ConstantEstimate:
 
     value: float
     p95: float
-    n_samples: int
 
 
 def decayed_random_scalar(N: int, decay: float, seed) -> SpectralScalar:
@@ -198,9 +197,7 @@ def _sampled_constant(sigma: float, s: float, N: int, n_samples: int, seed,
             N, sigma, s, seed=stochastic.path_seed(seed, i))),
         range(n_samples))
     arr = np.sort(np.asarray(ratios))
-    return ConstantEstimate(value=float(arr[-1]),
-                            p95=float(np.quantile(arr, 0.95)),
-                            n_samples=n_samples)
+    return ConstantEstimate(value=float(arr[-1]), p95=float(np.quantile(arr, 0.95)))
 
 
 def estimate_c_sigma(sigma: float, N: int, n_samples: int, seed) -> ConstantEstimate:
@@ -248,9 +245,8 @@ class ThresholdReport:
     data_margin: float         # (nu^2-2*beta)*phi0/(4*c_sigma) - 1 - e^alpha*|U0|, >= 0
 
 
-def damping_threshold_check(phi0: float, sigma: float, nu: float, beta: float,
-                            alpha: float, u0_norm: float,
-                            c_sigma: float) -> ThresholdReport:
+def damping_threshold_check(phi0: float, nu: float, beta: float, alpha: float,
+                            u0_norm: float, c_sigma: float) -> ThresholdReport:
     """Evaluate the two damping globality conditions and report their slack."""
     if min(phi0, nu, c_sigma) <= 0.0 or beta <= 0.0 or alpha < 0.0 or u0_norm < 0.0:
         raise ValueError("phi0, nu, beta, c_sigma must be positive; "

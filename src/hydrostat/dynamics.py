@@ -266,10 +266,10 @@ def twisted_transport(u: SpectralVelocity, nu: float, w: float,
     gevrey.check_exponent_cap(abs(nu * w), s, u.N)
     if nu * w == 0.0:
         return spectral.hydrostatic_leray(spectral.transport_bilinear(u))
-    v = gevrey.noise_transform(u, nu, w, s, "inverse")
+    v = gevrey.noise_transform(u, nu * w, s)
     q = spectral.transport_bilinear(v)
     pq = spectral.hydrostatic_leray(q)
-    return gevrey.noise_transform(pq, nu, w, s, "forward")
+    return gevrey.noise_transform(pq, -nu * w, s)
 
 
 def _ifrk4_step(u: SpectralVelocity, dt: float, half_factor, nu: float, w: float,
@@ -327,7 +327,7 @@ def recover_solution(u: SpectralVelocity, w: float, cfg: SimConfig,
         raise RadiusViolationError(
             f"nu*W = {cfg.nu * w:.6g} exceeds tracked radius "
             f"{cfg.radius.value(t):.6g} at t = {t:.6g}")
-    return gevrey.noise_transform(u, cfg.nu, w, cfg.s, "inverse")
+    return gevrey.noise_transform(u, cfg.nu * w, cfg.s)
 
 
 def _zero_path(T: float, dt: float) -> BrownianPath:
@@ -635,15 +635,17 @@ def run_ensemble(u0: SpectralVelocity, cfg: SimConfig, n_paths: int) -> list[Run
     path_seed(cfg.seed, i))``, and equals ``run`` on that path alone, for
     damping too.
 
-    Damping members share one clocked solve in this process.  Diffusion and
-    'none' members run on ``parallel_map``'s forked workers.
+    Damping members share one clocked solve in this process.  Diffusion
+    members run on ``parallel_map``'s forked workers.  A 'none' ensemble is
+    refused: its members would all be the one deterministic run.
     """
+    if cfg.noise == "none":
+        raise ValueError("a 'none' ensemble is one deterministic run; use run")
     if n_paths < 1:
         raise ValueError(f"need at least one path, got n_paths = {n_paths}")
     _check_truncation(u0, cfg)
     names = [f"path{i}" for i in range(n_paths)]
-    paths = [_zero_path(cfg.horizon, cfg.dt) if cfg.noise == "none" else
-             stochastic.sample_path(cfg.horizon, cfg.dt, stochastic.path_seed(cfg.seed, i))
+    paths = [stochastic.sample_path(cfg.horizon, cfg.dt, stochastic.path_seed(cfg.seed, i))
              for i in range(n_paths)]
     if cfg.noise == "damping":
         return _run_clocked(u0, cfg, paths, names)

@@ -1,5 +1,5 @@
-"""Fourier multiplier calculus: exponential weights, the noise conjugation
-multiplier, and the weighted norms used for radius tracking.
+"""Fourier multiplier calculus: the noise conjugation multiplier (the one
+exponential weight) and the weighted norms used for radius tracking.
 
 All operations are coefficient-wise and pure.  Exponentially weighted sums
 span many orders of magnitude, so norms accumulate the squared terms sorted
@@ -20,7 +20,6 @@ __all__ = [
     "ExponentCapError",
     "EXPONENT_CAP",
     "check_exponent_cap",
-    "exp_multiplier",
     "noise_transform",
     "norm",
 ]
@@ -76,25 +75,13 @@ def _abs_k_pow(N: int, p: float) -> np.ndarray:
     return out
 
 
-def exp_multiplier(field, phi: float, s: float):
-    """Multiply each coefficient by exp(phi * |k|^s); phi may be negative."""
+def noise_transform(field, phi: float, s: float):
+    """Multiply each coefficient by exp(phi * |k|^s): the noise conjugation
+    multiplier exp(-/+ nu*W*|k|^s) at phi = -/+ nu*W, and for s = 0 the
+    scalar exp(phi).  Raises ``ExponentCapError`` when phi*|k|_max^s passes
+    ``EXPONENT_CAP``."""
     check_exponent_cap(phi, s, field.N)
     return replace(field, coeffs=field.coeffs * np.exp(phi * _abs_k_pow(field.N, s)))
-
-
-def noise_transform(field, nu: float, w: float, s: float, direction: str = "forward"):
-    """Apply the noise conjugation multiplier exp(-nu*W*|k|^s) or its inverse.
-
-    'forward' damps with exponent -nu*w, 'inverse' undoes it; for s = 0 both
-    degenerate to scalar multiplication by exp(-/+ nu*w).
-    """
-    if direction == "forward":
-        phi = -nu * w
-    elif direction == "inverse":
-        phi = nu * w
-    else:
-        raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
-    return exp_multiplier(field, phi, s)
 
 
 @lru_cache(maxsize=32)

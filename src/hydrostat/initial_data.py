@@ -16,7 +16,6 @@ from .gevrey import GevreyParams
 from .spectral import SpectralVelocity
 
 __all__ = [
-    "zero_velocity",
     "single_mode",
     "two_mode",
     "random_decay",
@@ -26,14 +25,15 @@ __all__ = [
 ]
 
 
-def zero_velocity(N: int) -> SpectralVelocity:
-    return SpectralVelocity.zeros(N)
-
-
 def _place_cos_cos(c: np.ndarray, N: int, mode, amplitude: float, component: int):
     """Coefficients of amplitude * cos(2*pi*m'.x') * cos(2*pi*m3*z) on one
-    component (falls back to the plain cosine when a index vanishes)."""
+    component (falls back to the plain cosine when an index vanishes); a
+    mode off the lattice |m_i| <= N or a component other than 0 or 1 raises
+    ``ValueError``."""
     m1, m2, m3 = mode
+    if component not in (0, 1) or max(abs(m1), abs(m2), abs(m3)) > N:
+        raise ValueError(f"mode ({m1}, {m2}, {m3}) on component {component}: need "
+                         f"|m_i| <= N = {N} and component 0 or 1")
     horiz = [(m1, m2)] if (m1, m2) == (0, 0) else [(m1, m2), (-m1, -m2)]
     vert = [0] if m3 == 0 else [m3, -m3]
     share = amplitude / (len(horiz) * len(vert))
@@ -102,7 +102,7 @@ def make_initial_data(family: str, N: int, *, amplitude: float = 1.0, seed=0,
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
     if family == "zero":
-        return zero_velocity(N)
+        return SpectralVelocity.zeros(N)
     if family == "single_mode":
         return single_mode(N, amplitude, mode, component)
     if family == "two_mode":

@@ -64,6 +64,9 @@ class MildProblem:
             raise ValueError("the mild formulation applies to the diffusion form")
         if self.horizon <= 0.0 or self.n_nodes < 2:
             raise ValueError("need horizon > 0 and at least 2 quadrature nodes")
+        if self.max_iter < 1 or not 0.0 < self.tol < math.inf:
+            raise ValueError(f"need max_iter >= 1 and 0 < tol < inf, got "
+                             f"max_iter={self.max_iter}, tol={self.tol}")
 
     @property
     def times(self) -> np.ndarray:
@@ -138,14 +141,12 @@ def duhamel_map(trajectory: list, prob: MildProblem, path: BrownianPath) -> list
 
 @dataclass
 class PicardResult:
-    times: np.ndarray
-    trajectory: list
+    trajectory: list  # on the grid ``prob.times``
     iterations: int
     contraction_estimate: float
     difference_history: list
     sup_norm: float
-    ball_radius: float = math.inf
-    stayed_in_ball: bool = True
+    stayed_in_ball: bool = True  # within ``prob.default_ball_radius()``
 
 
 def _sup_norm(fields, prob: MildProblem) -> float:
@@ -189,13 +190,11 @@ def fixed_point_solve(prob: MildProblem, path: BrownianPath) -> PicardResult:
             contraction = ratio if math.isnan(contraction) else max(contraction, ratio)
         if d < prob.tol:
             return PicardResult(
-                times=prob.times,
                 trajectory=current,
                 iterations=it,
                 contraction_estimate=contraction,
                 difference_history=diffs,
                 sup_norm=sup,
-                ball_radius=ball,
                 stayed_in_ball=in_ball,
             )
     raise PicardDivergenceError(

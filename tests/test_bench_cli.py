@@ -172,6 +172,31 @@ class TestStrictInputs:
             f"config error: sim: noise 'none' requires s = 0, got {float(value)}\n"
         assert list(tmp_path.iterdir()) == [tmp_path / "cfg.ini"]
 
+    @pytest.mark.parametrize("edit,placed", [
+        (("amplitude = 0.01", "amplitude = 0.01\nmode = 5 0 1"), "(5, 0, 1) on component 0"),
+        (("amplitude = 0.01", "amplitude = 0.01\ncomponent = 2"), "(1, 0, 1) on component 2"),
+        # placed on component 1 without a word
+        (("amplitude = 0.01", "amplitude = 0.01\ncomponent = -1"),
+         "(1, 0, 1) on component -1"),
+        (("amplitude = 0.01", "amplitude = 0.01\nmode_b = 0 -5 1"),
+         "(0, -5, 1) on component 1"),
+        # the data is built before the config checks N
+        (("N = 4", "N = 0"), "(1, 0, 1) on component 0"),
+    ], ids=["mode", "component", "component-negative", "mode_b", "N-zero"])
+    def test_mode_off_the_lattice_is_config_error(self, tmp_path, capsys, edit, placed):
+        # these wrote the coefficient by raw index: an IndexError traceback,
+        # or a mode on the wrong component
+        text = BASE_CONFIG.format(name="mode", family="two_mode", amplitude="0.01",
+                                  outdir=tmp_path / "out")
+        cfg = write_config(tmp_path, text.replace(*edit))
+        assert bench_cli.main(["simulate", "--config", cfg, "--quiet"]) \
+            == bench_cli.EXIT_CONFIG
+        n = 0 if edit[1] == "N = 0" else 4
+        assert capsys.readouterr().err == (
+            f"config error: initial_data: mode {placed}: need |m_i| <= N = {n} "
+            "and component 0 or 1\n")
+        assert list(tmp_path.iterdir()) == [tmp_path / "cfg.ini"]
+
     README = Path(__file__).resolve().parent.parent / "README.md"
 
     def test_readme_config_reference_matches_table(self, tmp_path):
@@ -520,7 +545,7 @@ dir = {outdir}
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return analysis.ConstantEstimate(value=0.001, p95=0.001, n_samples=64)
+            return analysis.ConstantEstimate(value=0.001, p95=0.001)
 
         monkeypatch.setattr(analysis, "estimate_c_sigma", counted)
         cfg = write_config(tmp_path, self.ENSEMBLE_CONFIG.format(

@@ -480,6 +480,17 @@ class TestEnsembleAndGlobal:
         with pytest.raises(ValueError, match=message):
             dy.run_global_experiment(u0, 0.5, cfg, n_paths, c_star=1.0, c_sigma=1.0)
 
+    def test_none_ensemble_refused(self, monkeypatch):
+        # its members are one deterministic run; this forked n_paths copies
+        # of it, and it is refused before any member runs
+        N = 4
+        cfg = SimConfig(noise="none", nu=0.0, s=0.0, sigma=2.6,
+                        radius=RadiusSchedule.constant(0.3), n_modes=N,
+                        dt=2e-3, horizon=0.02)
+        monkeypatch.setattr(dy, "run", None)
+        with pytest.raises(ValueError, match="one deterministic run; use run$"):
+            dy.run_ensemble(small_two_mode(N, amplitude=1e-3), cfg, 3)
+
     def test_global_experiment_threshold_error(self):
         N = 4
         cfg = diffusion_cfg(N=N, nu=0.01, T=0.02, dt=2e-3)

@@ -19,25 +19,28 @@ def single_mode_pair(N=4, m=(1, 0, 0), value=1.0):
 
 
 class TestExpMultiplier:
+    """The one exponential multiplier exp(phi*|k|^s), ``noise_transform``."""
+
     def test_phi_zero_identity(self, projected_field):
         f = projected_field(seed=3)
-        out = gevrey.exp_multiplier(f, 0.0, 1.0)
+        out = gevrey.noise_transform(f, 0.0, 1.0)
         np.testing.assert_array_equal(out.coeffs, f.coeffs)
 
     def test_group_law(self, projected_field):
         f = projected_field(seed=4)
-        out = gevrey.exp_multiplier(gevrey.exp_multiplier(f, 0.07, 0.9), -0.07, 0.9)
-        np.testing.assert_allclose(out.coeffs, f.coeffs, rtol=1e-12)
+        out = gevrey.noise_transform(gevrey.noise_transform(f, 0.07, 0.9), -0.03, 0.9)
+        np.testing.assert_allclose(out.coeffs, gevrey.noise_transform(f, 0.04, 0.9).coeffs,
+                                   rtol=1e-12)
 
     def test_single_mode_factor(self):
         u = single_mode_pair()
-        out = gevrey.exp_multiplier(u, 0.1, 1.0)
+        out = gevrey.noise_transform(u, 0.1, 1.0)
         assert out.coeffs[0, 5, 4, 4] == pytest.approx(math.exp(0.2 * np.pi))
 
     def test_cap_enforced(self, projected_field):
         f = projected_field(N=8)
         with pytest.raises(ExponentCapError):
-            gevrey.exp_multiplier(f, 20.0, 1.0)  # 20 * 2*pi*8*sqrt(3) > 700
+            gevrey.noise_transform(f, 20.0, 1.0)  # 20 * 2*pi*8*sqrt(3) > 700
 
     @pytest.mark.parametrize("p", [0.0, 0.9, 1.9])
     def test_abs_k_power_cache_is_read_only(self, p):
@@ -49,27 +52,19 @@ class TestExpMultiplier:
         with pytest.raises(ValueError):
             kp[0, 0, 0] = 1.0
 
-
-class TestNoiseTransform:
-    def test_zero_noise_identity(self, projected_field):
-        f = projected_field(seed=5)
-        out = gevrey.noise_transform(f, 2.0, 0.0, 1.0, "forward")
-        np.testing.assert_array_equal(out.coeffs, f.coeffs)
-
     def test_s_zero_is_scalar(self, projected_field):
+        # exp(-nu*W) at nu = 1, W = log 2
         f = projected_field(seed=6)
-        out = gevrey.noise_transform(f, 1.0, math.log(2.0), 0.0, "forward")
+        out = gevrey.noise_transform(f, -math.log(2.0), 0.0)
         np.testing.assert_allclose(out.coeffs, 0.5 * f.coeffs, rtol=1e-14)
 
     def test_round_trip(self, projected_field):
+        # the forward multiplier at -nu*W, undone by the inverse at +nu*W
         f = projected_field(seed=7)
-        fwd = gevrey.noise_transform(f, 1.5, 0.05, 1.0, "forward")
-        back = gevrey.noise_transform(fwd, 1.5, 0.05, 1.0, "inverse")
+        nu, w = 1.5, 0.05
+        fwd = gevrey.noise_transform(f, -nu * w, 1.0)
+        back = gevrey.noise_transform(fwd, nu * w, 1.0)
         np.testing.assert_allclose(back.coeffs, f.coeffs, rtol=1e-12)
-
-    def test_direction_validated(self, projected_field):
-        with pytest.raises(ValueError):
-            gevrey.noise_transform(projected_field(), 1.0, 0.1, 1.0, "sideways")
 
 
 class TestNorms:
@@ -99,8 +94,8 @@ class TestNorms:
 
     def test_multiplier_commutes_with_projection(self, projected_field):
         f = spectral.random_coefficients(6, 11)
-        a = gevrey.exp_multiplier(spectral.hydrostatic_leray(f), 0.2, 1.0)
-        b = spectral.hydrostatic_leray(gevrey.exp_multiplier(f, 0.2, 1.0))
+        a = gevrey.noise_transform(spectral.hydrostatic_leray(f), 0.2, 1.0)
+        b = spectral.hydrostatic_leray(gevrey.noise_transform(f, 0.2, 1.0))
         np.testing.assert_allclose(a.coeffs, b.coeffs, rtol=0,
                                    atol=1e-13 * np.abs(a.coeffs).max())
 
@@ -137,7 +132,7 @@ class TestNorms:
         f = spectral.random_coefficients(8, 1)
         p = GevreyParams(1.9, 1.0, 5.0)
         assert p.phi * gevrey.max_abs_k(8) < gevrey.EXPONENT_CAP < 2 * p.phi * gevrey.max_abs_k(8)
-        gevrey.exp_multiplier(f, p.phi, p.s)
+        gevrey.noise_transform(f, p.phi, p.s)
         with pytest.raises(ExponentCapError):
             gevrey.norm(f, "Gevrey", p)
 

@@ -200,7 +200,7 @@ class TestFixedPoint:
                                 prob) <= 2.0 * prob.tol
         assert res.contraction_estimate < 1.0
         assert res.stayed_in_ball
-        assert res.sup_norm <= res.ball_radius == prob.default_ball_radius()
+        assert res.sup_norm <= prob.default_ball_radius()
 
     def test_zero_path_shares_first_iteration_transport(self, transport_calls):
         # iteration 1 maps one shared constant trajectory under W = 0 at
@@ -258,6 +258,15 @@ class TestFixedPoint:
                            tol=1e-10, max_iter=12)
         with pytest.raises(PicardDivergenceError):
             picard.fixed_point_solve(prob, dy._zero_path(2.0, 1e-2))
+
+    @pytest.mark.parametrize("max_iter,tol", [(0, 1e-10), (-1, 1e-10), (40, math.nan),
+                                              (40, 0.0), (40, -1e-10), (40, math.inf)])
+    def test_iteration_budget_and_tolerance_validated(self, max_iter, tol):
+        # max_iter = 0 raised IndexError from an empty difference history, and
+        # tol = nan reported no convergence with a last difference of 0
+        with pytest.raises(ValueError, match="need max_iter >= 1 and 0 < tol < inf"):
+            MildProblem(u0=small_data(), cfg=make_cfg(), horizon=0.05, n_nodes=9,
+                        tol=tol, max_iter=max_iter)
 
     @pytest.mark.parametrize("target", [1e4, 1e6, 1e8])
     def test_overflowed_iteration_is_divergence(self, target):
