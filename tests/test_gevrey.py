@@ -52,6 +52,17 @@ class TestExpMultiplier:
         with pytest.raises(ValueError):
             kp[0, 0, 0] = 1.0
 
+
+class TestNoiseTransform:
+    """The multiplier in its noise role: exp(-nu*W*|k|^s) and its inverse."""
+
+    def test_zero_noise_identity(self, projected_field):
+        # W = 0 at nu = 2: the exponent is -0.0, an exact identity
+        f = projected_field(seed=5)
+        nu, w = 2.0, 0.0
+        out = gevrey.noise_transform(f, -nu * w, 1.0)
+        np.testing.assert_array_equal(out.coeffs, f.coeffs)
+
     def test_s_zero_is_scalar(self, projected_field):
         # exp(-nu*W) at nu = 1, W = log 2
         f = projected_field(seed=6)
