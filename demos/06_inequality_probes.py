@@ -8,6 +8,7 @@ transport constants used by the damping schedule.
 import numpy as np
 
 from hydrostat import analysis, gevrey, initial_data, picard
+from hydrostat.dynamics import RadiusSchedule
 
 print("convolution exponent feasibility (s = 1):")
 for ss in (1.55, 1.60, 1.61, 1.65, 1.80, 1.95):
@@ -42,9 +43,8 @@ print(f"  c_star(sigma=1.9, s=1)   = {cst.value:.4e}  (p95 {cst.p95:.4e})")
 
 print("\ndamping thresholds with the estimated constant "
       "(phi0=1, nu^2=60, beta=15, alpha=1, |U0|=0.05):")
-rep = analysis.damping_threshold_check(1.0, np.sqrt(60.0), 15.0, 1.0, 0.05, cs.value)
-print(f"  dissipation margin {rep.dissipation_margin:.4g}, "
-      f"data margin {rep.data_margin:.4g}, ok = {rep.ok}")
+sched = RadiusSchedule.damping(1.0, 1.0, 15.0, np.sqrt(60.0), cs.value, 0.05)
+print(f"  limit radius {sched.limit():.4g}, ok (>= 0) = {sched.limit() >= 0.0}")
 
 print("\ntwisted cancellation diagnostic |<B(u,u), u>| / |u|^3:")
 u = initial_data.random_decay(8, 2.0, 1.0, seed=9)

@@ -32,8 +32,6 @@ __all__ = [
     "nonlinear_estimate_ratio",
     "estimate_c_sigma",
     "estimate_c_star",
-    "damping_threshold_check",
-    "ThresholdReport",
     "twisted_cancellation_residual",
 ]
 
@@ -236,29 +234,6 @@ def estimate_c_star(sigma: float, s: float, N: int, n_samples: int,
                                   sigma, s, 1.0, phi) for phi in PHIS)
 
     return _sampled_constant(sigma, s, N, n_samples, seed, ratio)
-
-
-@dataclass(frozen=True)
-class ThresholdReport:
-    ok: bool
-    dissipation_margin: float  # (nu^2 - 2*beta)*phi0 - 4*c_sigma, must be > 0
-    data_margin: float         # (nu^2-2*beta)*phi0/(4*c_sigma) - 1 - e^alpha*|U0|, >= 0
-
-
-def damping_threshold_check(phi0: float, nu: float, beta: float, alpha: float,
-                            u0_norm: float, c_sigma: float) -> ThresholdReport:
-    """Evaluate the two damping globality conditions and report their slack."""
-    if min(phi0, nu, c_sigma) <= 0.0 or beta <= 0.0 or alpha < 0.0 or u0_norm < 0.0:
-        raise ValueError("phi0, nu, beta, c_sigma must be positive; "
-                         "alpha, u0_norm non-negative")
-    if beta >= 0.5 * nu ** 2:
-        raise ValueError("need beta < nu^2/2")
-    lhs = (nu ** 2 - 2.0 * beta) * phi0
-    dissipation_margin = lhs - 4.0 * c_sigma
-    data_margin = lhs / (4.0 * c_sigma) - 1.0 - math.exp(alpha) * u0_norm
-    return ThresholdReport(ok=dissipation_margin > 0.0 and data_margin >= 0.0,
-                           dissipation_margin=dissipation_margin,
-                           data_margin=data_margin)
 
 
 def twisted_cancellation_residual(u: SpectralVelocity, nu: float, w: float,

@@ -106,7 +106,7 @@ class RadiusSchedule:
         if self.kind == "damping":
             if self.phi0 <= 0.0:
                 raise ValueError("damping schedule needs phi0 > 0")
-            if self.nu ** 2 <= 2.0 * self.beta:
+            if not 2.0 * self.beta < self.nu * self.nu:  # inf, not OverflowError, at a huge nu
                 raise ValueError("damping schedule needs beta < nu^2/2")
             if self.c_sigma <= 0.0:
                 raise ValueError("damping schedule needs c_sigma > 0")
@@ -173,9 +173,9 @@ class SimConfig:
         if self.noise not in NOISE_KINDS:
             raise ValueError(f"noise must be one of {NOISE_KINDS}, got {self.noise!r}")
         _check_finite(self, "nu", "sigma", "blowup_factor")
-        if self.n_modes < 1 or not (0.0 < self.dt < math.inf and 0.0 < self.horizon < math.inf):
-            raise ValueError("n_modes must be positive and dt, horizon positive and "
-                             f"finite, got dt={self.dt}, horizon={self.horizon}")
+        if self.n_modes < 1:
+            raise ValueError(f"n_modes must be positive, got {self.n_modes}")
+        stochastic.grid_steps(self.horizon, self.dt)
         if self.blowup_factor <= 1.0:
             raise ValueError("blowup_factor must exceed 1")
         if self.noise == "diffusion":
@@ -185,20 +185,18 @@ class SimConfig:
             if not lo < self.sigma < 2.0:
                 raise ValueError(
                     f"diffusion requires sigma in ({lo:.4f}, 2), got {self.sigma}")
-            if self.nu <= 0.0:
-                raise ValueError("diffusion requires nu > 0")
         elif self.noise == "damping":
             if self.s != 0.0:
                 raise ValueError(f"damping requires s = 0, got {self.s}")
             if self.sigma <= 2.5:
                 raise ValueError(f"damping requires sigma > 5/2, got {self.sigma}")
-            if self.nu <= 0.0:
-                raise ValueError("damping requires nu > 0")
         else:  # deterministic baseline
             if self.nu != 0.0:
                 raise ValueError("noise 'none' requires nu = 0")
             if self.s != 0.0:
                 raise ValueError(f"noise 'none' requires s = 0, got {self.s}")
+        if self.noise != "none" and not (self.nu > 0.0 and 0.0 < self.nu * self.nu < math.inf):
+            raise ValueError(f"{self.noise} requires nu > 0 and finite nu^2 > 0, got {self.nu}")
 
     @property
     def norm_s(self) -> float:
@@ -666,56 +664,60 @@ class GlobalExperimentResult:
     nu: float
 
 
-def _check_constant(name: str, value: float | None, noise: str) -> None:
-    """ThresholdError unless the empirical constant is given, positive and
-    finite: a NaN or negative one would pass the threshold comparison."""
-    if value is None:
-        raise ThresholdError(f"{noise} experiment needs the empirical {name}")
-    if not (math.isfinite(value) and value > 0.0):
-        raise ThresholdError(f"{name} must be positive and finite, got {value}")
+def _experiment_radius(v0: SpectralVelocity, epsilon: float, cfg: SimConfig,
+                       c_star: float | None, c_sigma: float | None) -> RadiusSchedule:
+    """The experiment's radius, derived and checked in one pass before any
+    run (README, "Config reference"): alpha = -4*ln(epsilon), beta = nu^2/4,
+    and the damping threshold is the damping radius's limit >= 0.
+    ThresholdError for every value it cannot use, ExponentCapError for a
+    norm weight past the cap."""
+    if not 0.0 < epsilon < 1.0:
+        raise ThresholdError(f"epsilon must lie in (0, 1), got {epsilon}")
+    if cfg.noise not in ("diffusion", "damping"):
+        raise ThresholdError("global experiment needs a stochastic noise kind")
+    # a NaN or negative constant would pass the threshold comparison
+    name, c = ("c_star", c_star) if cfg.noise == "diffusion" else ("c_sigma", c_sigma)
+    if c is None:
+        raise ThresholdError(f"{cfg.noise} experiment needs the empirical {name}")
+    if not (math.isfinite(c) and c > 0.0):
+        raise ThresholdError(f"{name} must be positive and finite, got {c}")
+    alpha, nu = -4.0 * math.log(epsilon), cfg.nu
+    beta = 0.25 * nu ** 2
+    eta = cfg.radius.eta if cfg.radius.eta > 0 else alpha / 10.0
+    phi0 = alpha + eta if cfg.noise == "diffusion" else \
+        cfg.radius.phi0 if cfg.radius.kind == "damping" else cfg.radius.value(0.0)
+    if not phi0 > 0.0:
+        raise ThresholdError(f"need phi0 > 0, got {phi0}")
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        v0n = gevrey.norm(v0, "Gevrey", GevreyParams(cfg.sigma, cfg.norm_s, phi0))
+    if not math.isfinite(v0n):
+        raise ThresholdError(f"|V0| at radius {phi0:.6g} must be finite, got {v0n}")
+    if cfg.noise == "diffusion":
+        if nu ** 2 <= 4.0 * c * v0n:
+            raise ThresholdError(f"need nu^2 > 4*c_star*|V0| = {4.0 * c * v0n:.6g}, "
+                                 f"got nu^2 = {nu ** 2:.6g}")
+        return RadiusSchedule.linear(alpha, beta, eta=eta)
+    sched = RadiusSchedule.damping(phi0, alpha, beta, nu, c, v0n)
+    try:
+        limit = sched.limit()
+    except OverflowError:
+        raise ThresholdError(f"e^alpha overflows at epsilon = {epsilon}") from None
+    if not limit >= 0.0:
+        raise ThresholdError("need the damping radius's limit phi0 - (8*c_sigma/nu^2)"
+                             f"*(e^alpha*|V0| + 1) >= 0, got {limit:.6g}")
+    return sched
 
 
 def run_global_experiment(v0: SpectralVelocity, epsilon: float, cfg: SimConfig,
                           n_paths: int, c_star: float | None = None,
                           c_sigma: float | None = None) -> GlobalExperimentResult:
-    """High-probability globality experiment.
-
-    Sets alpha = -4*ln(epsilon) and beta = nu^2/4, verifies the largeness
-    condition on nu against the supplied empirical constant (c_star for
-    diffusion, c_sigma for damping; positive and finite), runs the ensemble,
-    and reports the completed fraction to compare against 1 - epsilon, and
-    the count of completed paths that stayed in the grid good set.
-    """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
+    """High-probability globality experiment: the ensemble on the radius of
+    ``_experiment_radius`` (c_star for diffusion, c_sigma for damping), its
+    completed fraction, to compare against 1 - epsilon, and its count of
+    completed paths that stayed in the grid good set."""
     if n_paths < 1:
         raise ValueError(f"need at least one path, got n_paths = {n_paths}")
-    alpha = -4.0 * math.log(epsilon)
-    nu = cfg.nu
-    beta = 0.25 * nu ** 2
-
-    if cfg.noise == "diffusion":
-        _check_constant("c_star", c_star, cfg.noise)
-        eta = cfg.radius.eta if cfg.radius.eta > 0 else alpha / 10.0
-        v0n = gevrey.norm(v0, "Gevrey", GevreyParams(cfg.sigma, cfg.s, alpha + eta))
-        if nu ** 2 <= 4.0 * c_star * v0n:
-            raise ThresholdError(
-                f"need nu^2 > 4*c_star*|V0| = {4.0 * c_star * v0n:.6g}, "
-                f"got nu^2 = {nu ** 2:.6g}")
-        sched = RadiusSchedule.linear(alpha, beta, eta=eta)
-    elif cfg.noise == "damping":
-        _check_constant("c_sigma", c_sigma, cfg.noise)
-        phi0 = cfg.radius.phi0 if cfg.radius.kind == "damping" else cfg.radius.value(0.0)
-        v0n = gevrey.norm(v0, "Gevrey", GevreyParams(cfg.sigma, 1.0, phi0))
-        required = (8.0 * c_sigma / phi0) * (math.exp(alpha) * v0n + 1.0)
-        if nu ** 2 < required:
-            raise ThresholdError(
-                f"need nu^2 >= (8*c_sigma/phi0)*(eps^-4*|V0| + 1) = {required:.6g}, "
-                f"got nu^2 = {nu ** 2:.6g}")
-        sched = RadiusSchedule.damping(phi0, alpha, beta, nu, c_sigma, v0n)
-    else:
-        raise ThresholdError("global experiment needs a stochastic noise kind")
-
+    sched = _experiment_radius(v0, epsilon, cfg, c_star, c_sigma)
     records = run_ensemble(v0, replace(cfg, radius=sched), n_paths)
     completed = [r for r in records if r.status == STATUS_COMPLETED]
     frac = len(completed) / n_paths
@@ -726,7 +728,7 @@ def run_global_experiment(v0: SpectralVelocity, epsilon: float, cfg: SimConfig,
         completed_fraction=frac,
         target=1.0 - epsilon,
         std_error=stochastic.binomial_se(frac, n_paths),
-        alpha=alpha,
-        beta=beta,
-        nu=nu,
+        alpha=sched.alpha,
+        beta=sched.beta,
+        nu=cfg.nu,
     )

@@ -28,12 +28,14 @@ __all__ = [
 def _place_cos_cos(c: np.ndarray, N: int, mode, amplitude: float, component: int):
     """Coefficients of amplitude * cos(2*pi*m'.x') * cos(2*pi*m3*z) on one
     component (falls back to the plain cosine when an index vanishes); a
-    mode off the lattice |m_i| <= N or a component other than 0 or 1 raises
-    ``ValueError``."""
+    mode other than three integers, not all zero, on the lattice
+    |m_i| <= N, or a component other than 0 or 1 raises ``ValueError``."""
+    mode = tuple(mode)
+    if len(mode) != 3 or not any(mode) or max(map(abs, mode)) > N \
+            or component not in (0, 1):
+        raise ValueError(f"mode {mode} on component {component}: need three integers, "
+                         f"not all zero, with |m_i| <= N = {N}, and component 0 or 1")
     m1, m2, m3 = mode
-    if component not in (0, 1) or max(abs(m1), abs(m2), abs(m3)) > N:
-        raise ValueError(f"mode ({m1}, {m2}, {m3}) on component {component}: need "
-                         f"|m_i| <= N = {N} and component 0 or 1")
     horiz = [(m1, m2)] if (m1, m2) == (0, 0) else [(m1, m2), (-m1, -m2)]
     vert = [0] if m3 == 0 else [m3, -m3]
     share = amplitude / (len(horiz) * len(vert))
@@ -79,12 +81,13 @@ def random_analytic(N: int, radius: float, amplitude: float = 1.0, seed=0,
 def normalize_to(u: SpectralVelocity, target: float,
                  params: GevreyParams) -> SpectralVelocity:
     """Rescale so that the Gevrey norm at ``params`` equals ``target`` exactly;
-    a norm is positive, so ``target`` must be."""
+    ``target`` and the datum's norm must be positive and finite."""
     if not (math.isfinite(target) and target > 0.0):
         raise ValueError(f"target must be positive and finite, got {target}")
-    current = gevrey.norm(u, "Gevrey", params)
-    if current == 0.0:
-        raise ValueError("target cannot be reached from the zero field")
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        current = gevrey.norm(u, "Gevrey", params)
+    if not (math.isfinite(current) and current > 0.0):
+        raise ValueError(f"target cannot be reached from a datum of norm {current}")
     return (target / current) * u
 
 

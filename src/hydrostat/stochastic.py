@@ -22,6 +22,7 @@ __all__ = [
     "GoodSetParams",
     "GoodSetEstimate",
     "path_seed",
+    "grid_steps",
     "sample_path",
     "first_exit",
     "damping_clock",
@@ -82,13 +83,22 @@ def path_seed(seed, index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=seed, spawn_key=(index,))
 
 
-def _time_grid(T: float, dt: float) -> np.ndarray:
-    """Grid {0, dt, 2dt, ..., T}; the last interval may be shorter than dt."""
+def grid_steps(T: float, dt: float) -> int:
+    """Full steps ``floor(T/dt)`` of ``_time_grid(T, dt)``, checked without
+    building it: T, dt positive and finite, and T/dt below 2^53, past which
+    the index k of ``t_k = k*dt`` is not exact in a double."""
     if not (0.0 < T < math.inf and 0.0 < dt < math.inf):
         raise ValueError(
             f"horizon and step must be positive and finite, got T={T}, dt={dt}")
-    n_full = int(math.floor(T / dt + 1e-9))
-    times = dt * np.arange(n_full + 1)
+    if not T / dt < 2.0 ** 53:
+        raise ValueError(f"T/dt = {T / dt:.3g} steps is past the 2^53 that a time "
+                         f"grid indexes exactly, got T={T}, dt={dt}")
+    return int(math.floor(T / dt + 1e-9))
+
+
+def _time_grid(T: float, dt: float) -> np.ndarray:
+    """Grid {0, dt, 2dt, ..., T}; the last interval may be shorter than dt."""
+    times = dt * np.arange(grid_steps(T, dt) + 1)
     if times[-1] < T - 1e-12 * max(T, 1.0):
         times = np.append(times, T)
     else:

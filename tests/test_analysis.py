@@ -198,23 +198,6 @@ class TestEstimators:
         assert c_sigma_est.p95 <= c_sigma_est.value
 
 
-class TestDampingThresholds:
-    def test_dissipation_condition_passes(self):
-        rep = an.damping_threshold_check(1.0, math.sqrt(10.0), 1.0, 0.0, 0.5, 1.0)
-        assert rep.dissipation_margin == pytest.approx(4.0)
-        assert rep.data_margin == pytest.approx(0.5)
-        assert rep.ok
-
-    def test_data_condition_fails_at_boundary(self):
-        rep = an.damping_threshold_check(1.0, math.sqrt(6.0), 1.0, 0.0, 0.5, 1.0)
-        assert rep.data_margin == pytest.approx(-0.5)
-        assert not rep.ok
-
-    def test_invalid_beta(self):
-        with pytest.raises(ValueError):
-            an.damping_threshold_check(1.0, 1.0, 0.6, 0.0, 0.1, 1.0)
-
-
 class TestTwistedCancellation:
     def test_zero_noise_matches_transport_cancellation(self, projected_field):
         u = projected_field(seed=5)

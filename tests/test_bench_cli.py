@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -129,7 +130,8 @@ class TestStrictInputs:
     @pytest.mark.parametrize("command,edits,message", [
         ("simulate", {"nu = 1.5": "nu = nan"}, "sim: nu must be finite, got nan"),
         ("ensemble", {"nu = 1.5": "nu = nan"}, "sim: nu must be finite, got nan"),
-        ("ensemble", {"c_sigma = 0.001": "c_sigma = 10"}, "ensemble: need nu^2 >= "),
+        ("ensemble", {"c_sigma = 0.001": "c_sigma = 10"},
+         "ensemble: need the damping radius's limit "),
         # a constant that is not positive and finite would pass the threshold
         ("ensemble", {"c_sigma = 0.001": "c_sigma = nan"},
          "ensemble: c_sigma must be positive and finite, got nan\n"),
@@ -160,6 +162,31 @@ class TestStrictInputs:
         assert capsys.readouterr().err.startswith(f"config error: {message}")
         assert list(tmp_path.iterdir()) == [tmp_path / "cfg.ini"]
 
+    @pytest.mark.parametrize("command", ["simulate", "ensemble"])
+    @pytest.mark.parametrize("edit,flags,message", [
+        ("seed = -1", [], "sim.seed: must be non-negative, got -1"),
+        ("seeds = 1 -1", [], "sim.seeds: must be non-negative, got -1"),
+        ("seed = 2", ["--seed", "-1"], "--seed: must be non-negative, got -1"),
+    ], ids=["sim.seed", "sim.seeds", "--seed"])
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, command, edit,
+                                           flags, message):
+        # numpy's SeedSequence raised on these, and simulate had already
+        # created its output directory
+        text = TestEnsemble.ENSEMBLE_CONFIG.format(c_sigma="0.001", paths=2,
+                                                   outdir=tmp_path / "config_dir")
+        cfg = write_config(tmp_path, text.replace("seed = 2", edit))
+        assert bench_cli.main([command, "--config", cfg, "--quiet",
+                               "--out", str(tmp_path / "out"), *flags]) == bench_cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert list(tmp_path.iterdir()) == [tmp_path / "cfg.ini"]
+
+    @pytest.mark.parametrize("argv", ["verify cancellation",
+                                      "goodset --alpha 2 --beta 0.5 --nu 1"])
+    def test_negative_seed_flag_is_config_error(self, capsys, argv):
+        # verify raised numpy's ValueError; goodset named no flag
+        assert bench_cli.main([*argv.split(), "--seed", "-1"]) == bench_cli.EXIT_CONFIG
+        assert capsys.readouterr() == ("", "config error: --seed: must be non-negative, got -1\n")
+
     @pytest.mark.parametrize("value", ["0.5", "nan"])
     def test_none_noise_requires_s_zero(self, tmp_path, capsys, value):
         # 'none' runs at nu = 0 and ignores s, so any other order is an error
@@ -182,7 +209,14 @@ class TestStrictInputs:
          "(0, -5, 1) on component 1"),
         # the data is built before the config checks N
         (("N = 4", "N = 0"), "(1, 0, 1) on component 0"),
-    ], ids=["mode", "component", "component-negative", "mode_b", "N-zero"])
+        # these unpacked to a bare ValueError, ran the zero field, or dropped
+        # the second mode without a word
+        (("amplitude = 0.01", "amplitude = 0.01\nmode = 1 0"), "(1, 0) on component 0"),
+        (("amplitude = 0.01", "amplitude = 0.01\nmode = 0 0 0"), "(0, 0, 0) on component 0"),
+        (("amplitude = 0.01", "amplitude = 0.01\nmode_b = 0 0 0"),
+         "(0, 0, 0) on component 1"),
+    ], ids=["mode", "component", "component-negative", "mode_b", "N-zero", "mode-two",
+            "mode-zero", "mode_b-zero"])
     def test_mode_off_the_lattice_is_config_error(self, tmp_path, capsys, edit, placed):
         # these wrote the coefficient by raw index: an IndexError traceback,
         # or a mode on the wrong component
@@ -193,8 +227,8 @@ class TestStrictInputs:
             == bench_cli.EXIT_CONFIG
         n = 0 if edit[1] == "N = 0" else 4
         assert capsys.readouterr().err == (
-            f"config error: initial_data: mode {placed}: need |m_i| <= N = {n} "
-            "and component 0 or 1\n")
+            f"config error: initial_data: mode {placed}: need three integers, not all "
+            f"zero, with |m_i| <= N = {n}, and component 0 or 1\n")
         assert list(tmp_path.iterdir()) == [tmp_path / "cfg.ini"]
 
     README = Path(__file__).resolve().parent.parent / "README.md"
@@ -209,6 +243,123 @@ class TestStrictInputs:
         cfg, u0, _ = bench_cli.build_sim(
             bench_cli.load_config(write_config(tmp_path, example)))
         assert cfg.radius.kind == "linear" and u0.N == cfg.n_modes
+
+
+class TestConfigFuzz:
+    """Every config either runs or names its key: each key of CI's two smoke
+    ensembles set, one at a time, to each of a fixed list of values, in the
+    manner of QuickCheck (Claessen & Hughes 2000) on a hand-written list.
+
+    No value is left out as too long to run: the huge step counts
+    (``sim.dt = 1e-300``, ``sim.T = 1e300``) are refused by the time grid's
+    check, and ``sim.N`` and ``ensemble.paths`` parse as integers, so
+    ``1e300`` is refused before anything runs.
+    """
+
+    # the two smoke configs of .github/workflows/tier1.yml, cut to one path
+    # and two steps
+    SMOKE = {
+        "damping": {
+            "experiment": {"name": "damping_smoke"},
+            "sim": {"noise": "damping", "nu": "1.5", "s": "0", "sigma": "2.6", "N": "4",
+                    "dt": "5e-3", "T": "0.01", "radius_kind": "constant",
+                    "alpha": "0.15", "c_sigma": "0.001"},
+            "initial_data": {"family": "two_mode", "amplitude": "1.0",
+                             "normalize_target": "0.5", "normalize_sigma": "2.6",
+                             "normalize_phi": "0.15"},
+            "ensemble": {"epsilon": "0.5", "paths": "1"},
+        },
+        "diffusion": {
+            "experiment": {"name": "diffusion_smoke"},
+            "sim": {"noise": "diffusion", "nu": "0.1", "s": "1.0", "sigma": "1.9",
+                    "N": "4", "dt": "0.01", "T": "0.02", "radius_kind": "linear",
+                    "alpha": "2.772588722239781", "beta": "0.0025",
+                    "eta": "0.2772588722239781"},
+            "initial_data": {"family": "single_mode", "mode": "1 0 1",
+                             "normalize_target": "0.5", "normalize_sigma": "1.9",
+                             "normalize_phi": "3.0498475944637593"},
+            "ensemble": {"epsilon": "0.5", "paths": "1", "c_star": "0.001"},
+        },
+    }
+    VALUES = ("nan", "inf", "-inf", "-1", "0", "1e300", "1e-300", "abc", "", "1 2")
+    FLOATS = VALUES[:7]  # the values that float() reads
+    FINITE = ("-1", "0", "1e300", "1e-300")
+    BOTH = ("damping", "diffusion")
+    # (kinds, key, values, reason): the cases that run, and why they may
+    RUNS = [
+        (("damping",), "ensemble.c_star", FLOATS, "the diffusion threshold's constant"),
+        (("diffusion",), "sim.c_sigma", FLOATS, "a damping radius's constant"),
+        (("damping",), "sim.beta", FLOATS, "a constant radius has no slope"),
+        (("diffusion",), "sim.beta", FINITE, "the experiment's beta is nu^2/4"),
+        (("diffusion",), "sim.alpha", ("1e300", "1e-300"),
+         "the experiment's alpha is -4 ln(epsilon)"),
+        (BOTH, "sim.phi0", ("0", "1e-300"), "a radius, used by a damping radius only"),
+        (BOTH, "sim.seeds", ("0", "", "1 2"), "read by simulate only"),
+        (BOTH, "initial_data.sigma", FINITE, "read by random_decay only"),
+        (BOTH, "initial_data.s", FINITE, "read by random_decay only"),
+        (BOTH, "initial_data.radius", FINITE, "read by random_analytic only"),
+        (BOTH, "initial_data.poly", FINITE, "read by random_analytic only"),
+        (("diffusion",), "initial_data.mode_b", ("-1", "0", "", "1 2"),
+         "single_mode places one mode"),
+        (("diffusion",), "initial_data.component_b", ("-1", "0"),
+         "single_mode places one mode"),
+        (("diffusion",), "initial_data.ratio", FINITE, "single_mode places one mode"),
+        (BOTH, "experiment.name", VALUES,
+         "any text prefixes the file names; an empty name writes _runs.jsonl"),
+        (BOTH, "initial_data.amplitude", ("-1",), "normalize_target sets the size"),
+        (("damping",), "initial_data.ratio", ("-1", "0", "1e-300"),
+         "the second mode's share; 0 leaves it out"),
+        (BOTH, "initial_data.component", ("0",), "the default component"),
+        (("damping",), "initial_data.component_b", ("0",), "a mode on component 0"),
+        (("damping",), "initial_data.normalize_phi", ("0", "1e-300"), "a radius >= 0"),
+        (BOTH, "initial_data.normalize_target", ("1e-300",), "a positive target"),
+        (BOTH, "initial_data.seed", ("0",), "a seed"),
+        (BOTH, "sim.seed", ("0",), "a seed"),
+        (("damping",), "sim.s", ("0",), "the damping order"),
+        (BOTH, "sim.T", ("1e-300",), "one step, to T"),
+        (BOTH, "sim.dt", ("1e300",), "one step, of T"),
+        (BOTH, "sim.blowup_factor", ("1e300",), "a factor > 1"),
+        (BOTH, "sim.eta", ("0", "1e-300"), "an offset >= 0; 0 reads alpha/10"),
+        (("damping",), "sim.c_sigma", ("1e-300",), "a positive constant"),
+        (("diffusion",), "ensemble.c_star", ("1e-300",), "a positive constant"),
+    ]
+
+    @pytest.mark.parametrize("kind", BOTH)
+    def test_every_value_runs_or_names_its_key(self, tmp_path, capsys, kind):
+        runs = {(key, value) for kinds, key, values, _ in self.RUNS if kind in kinds
+                for value in values}
+        cfg, out = tmp_path / "cfg.ini", tmp_path / "out"
+        failures, ran = [], set()
+        for section, key, value in [(section, key, value)
+                                    for section, keys in bench_cli.CONFIG_KEYS.items()
+                                    for key in keys if (section, key) != ("output", "dir")
+                                    for value in self.VALUES]:
+            config = {s: dict(entries) for s, entries in self.SMOKE[kind].items()}
+            config.setdefault(section, {})[key] = value
+            cfg.write_text("".join(
+                f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in entries.items())
+                for s, entries in config.items()))
+            case = (f"{section}.{key}", value)
+            try:
+                code = bench_cli.main(["ensemble", "--config", str(cfg), "--quiet",
+                                       "--out", str(out)])
+            except Exception as exc:
+                failures.append((case, f"{type(exc).__name__}: {exc}"))
+                continue
+            err = capsys.readouterr().err
+            if code == bench_cli.EXIT_CONFIG:
+                # the key itself, its section, the datum built from it, or the
+                # ensemble's quantities derived from it
+                if not err.startswith((f"config error: {section}.{key}:", *(
+                        f"config error: {s}:" for s in (section, "initial_data", "ensemble")))) \
+                        or out.exists():
+                    failures.append((case, err, out.exists()))
+            elif code == bench_cli.EXIT_OK:
+                ran.add(case)
+            elif code not in bench_cli.STATUS_EXIT_CODES.values():
+                failures.append((case, code))
+            shutil.rmtree(out, ignore_errors=True)
+        assert failures == [] and ran == runs, (failures, ran - runs, runs - ran)
 
 
 class TestSimulate:
@@ -561,7 +712,7 @@ dir = {outdir}
         assert bench_cli.main(["ensemble", "--config", cfg, "--quiet"]) \
             == bench_cli.EXIT_CONFIG
         assert capsys.readouterr().err == \
-            f"config error: ensemble.epsilon: must lie in (0, 1), got {float(epsilon)}\n"
+            f"config error: ensemble: epsilon must lie in (0, 1), got {float(epsilon)}\n"
         assert list(tmp_path.iterdir()) == [tmp_path / "cfg.ini"]
 
     def test_radius_past_cap_is_config_error(self, tmp_path, capsys):

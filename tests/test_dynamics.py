@@ -61,6 +61,19 @@ class TestRadiusSchedule:
         assert decreasing.value(10.0) == pytest.approx(-4.0)
         assert decreasing.limit() == -math.inf
 
+    # phi0 = 1, beta = 1, alpha = 0, |V0| = 0.5, c_sigma = 1: the limit
+    # 1 - 4*1.5/(nu^2 - 2), which the globality experiment needs >= 0, on
+    # either side of nu^2 = 8
+    @pytest.mark.parametrize("nu2,limit", [(10.0, 0.25), (6.0, -0.5)],
+                             ids=["nonnegative", "negative"])
+    def test_damping_limit_sign(self, nu2, limit):
+        sched = RadiusSchedule.damping(1.0, 0.0, 1.0, math.sqrt(nu2), 1.0, 0.5)
+        assert sched.limit() == pytest.approx(limit)
+
+    def test_damping_needs_beta_below_half_nu_squared(self):
+        with pytest.raises(ValueError, match=r"needs beta < nu\^2/2"):
+            RadiusSchedule.damping(1.0, 0.0, 0.6, 1.0, 1.0, 0.1)
+
     def test_monotone_decreasing(self):
         sched = RadiusSchedule.damping(1.0, 0.5, 1.0, 2.5, 0.3, 0.2)
         ts = np.linspace(0, 5, 50)
