@@ -15,6 +15,9 @@ Diffusion ensemble members run on the forked worker processes of
 would serialize their Python glue on threads; damping members share one
 clocked solve.  Every member equals its run alone and the records keep
 path-index order, so the output files do not depend on the worker count.
+``goodset`` sends its paths to the same forked workers, one strided block
+of path indices per CPU (``taskset -c 0`` runs them one after another), and
+its estimate, a survivor count, does not depend on the worker count either.
 A bad config or argument (an unknown section, key or flag, or a bad value
 such as a non-finite step) exits with code 2.
 """
@@ -76,6 +79,13 @@ def _seed(text: str) -> int:
     return seed
 
 
+def _modes(text: str) -> int:
+    """A truncation N >= 1, checked before any datum is built on it."""
+    if (n := _int(text)) < 1:
+        raise ValueError(f"must be at least 1, got {n}")
+    return n
+
+
 def _number_or_estimate(text: str):
     """A float, or ``estimate``, which `_resolve` replaces by an estimate."""
     return text if text == "estimate" else float(text)
@@ -100,7 +110,7 @@ def _resolve(section: _Section, key: str, estimator, *args):
 CONFIG_KEYS = {
     "experiment": {"name": str},
     "output": {"dir": str},
-    "sim": {"noise": str, "nu": float, "s": float, "sigma": float, "N": _int,
+    "sim": {"noise": str, "nu": float, "s": float, "sigma": float, "N": _modes,
             "dt": float, "T": float, "seed": _seed,
             "seeds": lambda text: tuple(map(_seed, text.split())),
             "blowup_factor": float, "radius_kind": str, "alpha": float,
@@ -267,6 +277,31 @@ def summary_line(record: RunRecord) -> str:
 
 # ----------------------------------------------------------- subcommands ---
 
+def _check_initial_norm(config: dict[str, _Section], cfg: SimConfig, u0) -> None:
+    """A run's blowup threshold is a multiple of its tracked norm at t = 0,
+    so that norm must be finite.  A datum whose own L2 norm overflows names
+    the key that sized it; otherwise the weight ``|k|^(sigma*s)
+    exp(phi*|k|^s)`` overflows, which names ``sim.sigma``.  A radius past
+    the exponent cap is left to the run, which stops at t = 0 and says so."""
+    params = cfg.norm_params(0.0)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            tracked = gevrey.norm(u0, "Gevrey", params)
+            size = gevrey.norm(u0, "L2", params)
+    except gevrey.ExponentCapError:
+        return
+    if math.isfinite(tracked):
+        return
+    if not math.isfinite(size):
+        key = "normalize_target" if "normalize_target" in config["initial_data"] \
+            else "amplitude"
+        raise ConfigError(f"initial_data.{key}: the datum's L2 norm is {size}, past "
+                          f"what a double holds")
+    raise ConfigError(f"sim.sigma: the tracked norm at t = 0 is {tracked}: its weight "
+                      f"|k|^(sigma*s) exp(phi*|k|^s) overflows at sigma = {params.sigma}, "
+                      f"s = {params.s}, phi = {params.phi}, N = {cfg.n_modes}")
+
+
 def cmd_simulate(args) -> int:
     config = load_config(args.config)
     sim = config["sim"]
@@ -279,6 +314,7 @@ def cmd_simulate(args) -> int:
     if base_cfg.noise == "diffusion" and radius.kind == "linear" \
             and radius.beta >= 0.5 * base_cfg.nu ** 2:
         raise ConfigError("sim: diffusion requires beta < nu^2/2")
+    _check_initial_norm(config, base_cfg, u0)
     # created only once the config is known to be valid
     out = _ensure_outdir(args.out or config["output"].get("dir", "out"))
 

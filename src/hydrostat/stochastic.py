@@ -3,7 +3,9 @@ Monte Carlo probability estimation with a reflection-principle oracle.
 
 Determinism contract: every quantity here is a pure function of the seed and
 the parameters.  Ensemble members draw from independent substreams keyed by
-``(seed, path_index)``, so estimates are independent of evaluation order.
+``(seed, path_index)``, so estimates are independent of evaluation order,
+and ``good_set_probability``'s do not depend on its worker count or on the
+chunks in which it draws a path.
 Refining ``dt`` under the same seed produces a *different* discrete path
 (increments are drawn per grid interval, not via bridge refinement).
 """
@@ -204,6 +206,11 @@ def binomial_ci(successes: int, n: int, z: float = 1.96):
     return p_hat, z * binomial_se(p_hat, n)
 
 
+# Increments a good-set path draws and tests at a time.  Of 2048, 8192 and
+# 32768, 8192 ran criterion 01's paths (50 000 steps) fastest on one CPU.
+_EXIT_CHUNK = 8192
+
+
 def good_set_probability(p: GoodSetParams, T: float, dt: float, n_paths: int,
                          seed=0) -> GoodSetEstimate:
     """Monte Carlo survival frequency on [0, T] with the closed-form anchors.
@@ -211,18 +218,44 @@ def good_set_probability(p: GoodSetParams, T: float, dt: float, n_paths: int,
     The finite-horizon estimate approaches the infinite-horizon exact value
     from above as T grows and always dominates the lower bound
     ``survival_paper_bound`` up to sampling error.
+
+    Path ``i`` draws its increments from ``path_seed(seed, i)`` in chunks
+    of ``_EXIT_CHUNK`` and stops at its first exit.  Each chunk carries the
+    running sum into its first increment before ``cumsum``, so its partial
+    sums are bit for bit those of one ``cumsum`` over the whole path.  The
+    paths run on ``dynamics.parallel_map``'s forked workers, one strided
+    block of path indices per CPU.  The survivor count, and so the result,
+    does not depend on the worker count or the chunk length.  The fork costs
+    tens of milliseconds per call, which a small call feels; one CPU in the
+    affinity mask runs the paths in the calling thread.
     """
+    from .dynamics import _cpu_count, parallel_map  # dynamics imports this module
     if n_paths < 100:
         raise ValueError(f"need at least 100 paths, got {n_paths}")
     times = _time_grid(T, dt)
     nu_sqrt_diffs = p.nu * np.sqrt(np.diff(times))
     levels = p.alpha + p.beta * times[1:]
-    survived = 0
-    for i in range(n_paths):
-        rng = np.random.default_rng(path_seed(seed, i))
-        nu_w = np.cumsum(rng.standard_normal(len(nu_sqrt_diffs)) * nu_sqrt_diffs)
-        if first_exit(nu_w, levels) is None:
-            survived += 1
+
+    def survivors(block: range) -> int:
+        count = 0
+        for i in block:
+            rng = np.random.default_rng(path_seed(seed, i))
+            nu_w_end = 0.0
+            for a in range(0, len(levels), _EXIT_CHUNK):
+                b = min(a + _EXIT_CHUNK, len(levels))
+                incr = rng.standard_normal(b - a) * nu_sqrt_diffs[a:b]
+                incr[0] += nu_w_end
+                nu_w = np.cumsum(incr)
+                if first_exit(nu_w, levels[a:b]) is not None:
+                    break
+                nu_w_end = nu_w[-1]
+            else:
+                count += 1
+        return count
+
+    k = _cpu_count()
+    survived = sum(parallel_map(survivors, [range(j, n_paths, k) for j in range(k)],
+                                fork=True))
     p_hat, half = binomial_ci(survived, n_paths)
     return GoodSetEstimate(
         estimate=p_hat,

@@ -207,15 +207,13 @@ class TestStrictInputs:
          "(1, 0, 1) on component -1"),
         (("amplitude = 0.01", "amplitude = 0.01\nmode_b = 0 -5 1"),
          "(0, -5, 1) on component 1"),
-        # the data is built before the config checks N
-        (("N = 4", "N = 0"), "(1, 0, 1) on component 0"),
         # these unpacked to a bare ValueError, ran the zero field, or dropped
         # the second mode without a word
         (("amplitude = 0.01", "amplitude = 0.01\nmode = 1 0"), "(1, 0) on component 0"),
         (("amplitude = 0.01", "amplitude = 0.01\nmode = 0 0 0"), "(0, 0, 0) on component 0"),
         (("amplitude = 0.01", "amplitude = 0.01\nmode_b = 0 0 0"),
          "(0, 0, 0) on component 1"),
-    ], ids=["mode", "component", "component-negative", "mode_b", "N-zero", "mode-two",
+    ], ids=["mode", "component", "component-negative", "mode_b", "mode-two",
             "mode-zero", "mode_b-zero"])
     def test_mode_off_the_lattice_is_config_error(self, tmp_path, capsys, edit, placed):
         # these wrote the coefficient by raw index: an IndexError traceback,
@@ -225,10 +223,23 @@ class TestStrictInputs:
         cfg = write_config(tmp_path, text.replace(*edit))
         assert bench_cli.main(["simulate", "--config", cfg, "--quiet"]) \
             == bench_cli.EXIT_CONFIG
-        n = 0 if edit[1] == "N = 0" else 4
         assert capsys.readouterr().err == (
             f"config error: initial_data: mode {placed}: need three integers, not all "
-            f"zero, with |m_i| <= N = {n}, and component 0 or 1\n")
+            f"zero, with |m_i| <= N = 4, and component 0 or 1\n")
+        assert list(tmp_path.iterdir()) == [tmp_path / "cfg.ini"]
+
+    @pytest.mark.parametrize("n", ["0", "-1"], ids=["N-zero", "N-negative"])
+    def test_modes_below_one_are_config_error(self, tmp_path, capsys, n):
+        # the datum was built on N first: N = 0 read as a mode off the
+        # lattice, and N = -1 as numpy's "negative dimensions are not allowed"
+        text = TestEnsemble.ENSEMBLE_CONFIG.format(c_sigma="0.001", paths=2,
+                                                   outdir=tmp_path / "out")
+        cfg = write_config(tmp_path, text.replace("N = 4", f"N = {n}"))
+        for command in ("simulate", "ensemble"):
+            assert bench_cli.main([command, "--config", cfg, "--quiet"]) \
+                == bench_cli.EXIT_CONFIG
+            assert capsys.readouterr().err == \
+                f"config error: sim.N: must be at least 1, got {n}\n"
         assert list(tmp_path.iterdir()) == [tmp_path / "cfg.ini"]
 
     README = Path(__file__).resolve().parent.parent / "README.md"
@@ -324,6 +335,14 @@ class TestConfigFuzz:
         (("diffusion",), "ensemble.c_star", ("1e-300",), "a positive constant"),
     ]
 
+    @classmethod
+    def smoke_config(cls, kind: str, section: str, key: str, value: str) -> str:
+        """The text of smoke config ``kind`` with ``section.key = value``."""
+        config = {s: dict(entries) for s, entries in cls.SMOKE[kind].items()}
+        config.setdefault(section, {})[key] = value
+        return "".join(f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in entries.items())
+                       for s, entries in config.items())
+
     @pytest.mark.parametrize("kind", BOTH)
     def test_every_value_runs_or_names_its_key(self, tmp_path, capsys, kind):
         runs = {(key, value) for kinds, key, values, _ in self.RUNS if kind in kinds
@@ -334,11 +353,7 @@ class TestConfigFuzz:
                                     for section, keys in bench_cli.CONFIG_KEYS.items()
                                     for key in keys if (section, key) != ("output", "dir")
                                     for value in self.VALUES]:
-            config = {s: dict(entries) for s, entries in self.SMOKE[kind].items()}
-            config.setdefault(section, {})[key] = value
-            cfg.write_text("".join(
-                f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in entries.items())
-                for s, entries in config.items()))
+            cfg.write_text(self.smoke_config(kind, section, key, value))
             case = (f"{section}.{key}", value)
             try:
                 code = bench_cli.main(["ensemble", "--config", str(cfg), "--quiet",
@@ -621,6 +636,27 @@ beta = {beta}
             assert bench_cli.main([command, "--config", cfg, "--quiet"]) \
                 == bench_cli.EXIT_CONFIG
             assert re.fullmatch(expect, capsys.readouterr().err)
+
+    @pytest.mark.parametrize("kind,key,message", [
+        ("damping", "sim.sigma", "the tracked norm at t = 0 is nan: its weight "),
+        ("damping", "initial_data.normalize_target", "the datum's L2 norm is inf"),
+        ("diffusion", "initial_data.normalize_target", "the datum's L2 norm is inf"),
+        ("none", "initial_data.amplitude", "the datum's L2 norm is inf")],
+        ids=["damping-sigma", "damping-normalize_target", "diffusion-normalize_target",
+             "none-amplitude"])
+    def test_uncomputable_initial_norm_is_config_error(self, tmp_path, capsys, kind,
+                                                       key, message):
+        # each of these, set to 1e300 on CI's smoke configs or, unnormalized,
+        # on the 'none' config, overflowed the tracked norm at t = 0 and ran
+        # on to a blowup (exit 10)
+        cfg = write_config(tmp_path, BASE_CONFIG.format(
+            name="amplitude", family="two_mode", amplitude="1e300", outdir=tmp_path / "out")
+            if kind == "none" else TestConfigFuzz.smoke_config(kind, *key.split("."), "1e300"))
+        out = tmp_path / "out"
+        assert bench_cli.main(["simulate", "--config", cfg, "--quiet", "--out", str(out)]) \
+            == bench_cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: {key}: {message}")
+        assert not out.exists()
 
     def test_missing_config_flag(self):
         res = run_cli(["simulate"])

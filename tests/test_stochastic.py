@@ -2,6 +2,8 @@
 anchors for the barrier problem."""
 
 import math
+import multiprocessing
+import threading
 
 import numpy as np
 import pytest
@@ -154,6 +156,61 @@ class TestGoodSetProbability:
         b = st.good_set_probability(params, 2.0, 0.01, 300, seed=9)
         assert a.estimate == b.estimate
 
+    def test_estimate_does_not_depend_on_cpu_count(self, set_cpus):
+        # one strided block of paths per worker; every worker has ended
+        params = GoodSetParams(1.5, 0.5, 1.0)
+        before = threading.active_count(), len(multiprocessing.active_children())
+        estimates = []
+        for cpus in (1, 2, 3):
+            set_cpus(cpus)
+            estimates.append(st.good_set_probability(params, 2.0, 0.01, 301, seed=9))
+            assert (threading.active_count(),
+                    len(multiprocessing.active_children())) == before, cpus
+        assert estimates[0] == estimates[1] == estimates[2]
+        assert 0 < estimates[0].n_survived < 301
+
+    # (params, T, dt, chunk length): nu != 1 on one chunk; a short last
+    # interval (T/dt = 100.49); a path of 10000 increments on the real
+    # chunk length, whose last chunk holds 1808
+    @pytest.mark.parametrize("params,T,dt,chunk", [
+        (GoodSetParams(1.3, 0.7, 1.7), 5.0, 1e-3, None),
+        (GoodSetParams(1.0, 0.5, 1.0), 1.0049, 0.01, 8),
+        (GoodSetParams(2.0, 0.5, 1.0), 10.0, 1e-3, None),
+    ], ids=["nu", "short-last-interval", "ragged-last-chunk"])
+    def test_survivors_match_full_path_reference(self, monkeypatch, params, T, dt,
+                                                 chunk):
+        if chunk is not None:
+            monkeypatch.setattr(st, "_EXIT_CHUNK", chunk)
+        exits = reference_exits(params, T, dt, 300, seed=5)
+        est = st.good_set_probability(params, T, dt, 300, seed=5)
+        assert est.n_survived == exits.count(None)
+        assert 0 < est.n_survived < 300
+
+    def test_exits_on_chunk_edges_match_full_path_reference(self, monkeypatch):
+        # at 7 increments a chunk, first exits fall on a chunk's first index,
+        # where the carried sum enters, and on its last
+        chunk = 7
+        monkeypatch.setattr(st, "_EXIT_CHUNK", chunk)
+        params = GoodSetParams(1.0, 0.5, 1.0)
+        exits = reference_exits(params, 2.0, 0.01, 300, seed=6)
+        assert {0, chunk - 1} <= {i % chunk for i in exits if i is not None}
+        est = st.good_set_probability(params, 2.0, 0.01, 300, seed=6)
+        assert est.n_survived == exits.count(None)
+
+
+def reference_exits(p, T, dt, n_paths, seed):
+    """First exit index of each path, or None: every path drawn and summed
+    over the whole grid in one loop, as the estimator did before it
+    chunked and pooled them."""
+    times = st._time_grid(T, dt)
+    nu_sqrt_diffs = p.nu * np.sqrt(np.diff(times))
+    levels = p.alpha + p.beta * times[1:]
+    exits = []
+    for i in range(n_paths):
+        rng = np.random.default_rng(st.path_seed(seed, i))
+        exits.append(st.first_exit(np.cumsum(rng.standard_normal(len(levels))
+                                             * nu_sqrt_diffs), levels))
+    return exits
 
 
 class TestDampingClock:
