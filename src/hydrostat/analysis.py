@@ -100,8 +100,8 @@ def exponent_grid_search(sigma: float, s: float, resolution: float = 1e-4) -> Ex
 
 def _weighted_l2(field, r: float, phi: float) -> float:
     """L2 norm of exp(phi*A) A^r applied to the field (analytic weight, s=1)."""
-    kk = spectral.abs_k(field.N)
-    w = np.exp(phi * kk) * kk ** r * np.abs(field.coeffs)
+    w = np.exp(phi * spectral.abs_k(field.N)) * gevrey._abs_k_pow(field.N, r) \
+        * np.abs(field.coeffs)
     return float(np.sqrt(np.sum(w * w)))
 
 
@@ -141,8 +141,8 @@ def _pairing_ratio(u: SpectralVelocity, terms, sigma: float, s: float,
         raise ValueError(f"pairing ratio needs a finite right side, got {rhs}")
     if rhs == 0.0:
         return 0.0
-    kk = spectral.abs_k(u.N)
-    weight = np.exp(2.0 * phi * kk ** s) * kk ** (2.0 * sigma * s)
+    weight = np.exp(2.0 * phi * gevrey._abs_k_pow(u.N, s)) \
+        * gevrey._abs_k_pow(u.N, 2.0 * sigma * s)
     return max(abs(float(np.sum(weight * b.coeffs * np.conj(u.coeffs)).real))
                for b in terms) / rhs
 

@@ -79,6 +79,13 @@ def _seed(text: str) -> int:
     return seed
 
 
+def _name(text: str) -> str:
+    """An output file prefix: not empty, and no directory part."""
+    if not text or "/" in text:
+        raise ValueError(f"must be a non-empty file name prefix without '/', got {text!r}")
+    return text
+
+
 def _modes(text: str) -> int:
     """A truncation N >= 1, checked before any datum is built on it."""
     if (n := _int(text)) < 1:
@@ -108,7 +115,7 @@ def _resolve(section: _Section, key: str, estimator, *args):
 # reference").  `[initial_data]` keys other than `family` and `normalize_*`
 # go to `initial_data.make_initial_data`, which owns their defaults.
 CONFIG_KEYS = {
-    "experiment": {"name": str},
+    "experiment": {"name": _name},
     "output": {"dir": str},
     "sim": {"noise": str, "nu": float, "s": float, "sigma": float, "N": _modes,
             "dt": float, "T": float, "seed": _seed,

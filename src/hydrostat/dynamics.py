@@ -550,7 +550,8 @@ def _run_clocked(u0: SpectralVelocity, cfg: SimConfig, paths: list,
     clocks = [stochastic.damping_clock(path, cfg.nu).tolist() for path in paths]
     for trace in traces:
         trace.start(z0)
-    stepper = _damping_nodes(z0, cfg.dt)
+    # sized by the grid's own interval: a dt past T samples one step of T
+    stepper = _damping_nodes(z0, min(cfg.dt, cfg.horizon))
     nodes = deque(maxlen=4)
     for tau, p, k in heapq.merge(*([(clock[k], p, k) for k in range(1, len(clock))]
                                    for p, clock in enumerate(clocks))):

@@ -16,14 +16,6 @@ import pytest
 from hydrostat import analysis, bench_cli, dynamics
 
 
-def run_cli(args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run([sys.executable, "-m", "hydrostat.bench_cli", *args],
-                          capture_output=True, text=True, env=env)
-
-
 BASE_CONFIG = """
 [experiment]
 name = {name}
@@ -70,8 +62,11 @@ class TestStrictInputs:
         (("[sim]\n", "[sim]\nlinear_only = true\n"), "sim.linear_only: unknown key"),
         (("[initial_data]\n", "[initial_data]\nnormalize_kind = L2\n"),
          "initial_data.normalize_kind: unknown key"),
+        # a traceback: the files went into a directory never made
+        (("name = strict", "name = a/b"),
+         "experiment.name: must be a non-empty file name prefix without '/', got 'a/b'"),
     ], ids=["experiment", "output", "sim", "initial_data", "ensemble", "section",
-            "default", "linear_only", "normalize_kind"])
+            "default", "linear_only", "normalize_kind", "name-path"])
     def test_unknown_input_is_config_error(self, tmp_path, capsys, edit, message):
         text = BASE_CONFIG.format(name="strict", family="two_mode", amplitude="0.01",
                                   outdir=tmp_path / "out")
@@ -128,8 +123,6 @@ class TestStrictInputs:
                  "epsilon = 0.5": "epsilon = 0.5\nc_star = {}"}
 
     @pytest.mark.parametrize("command,edits,message", [
-        ("simulate", {"nu = 1.5": "nu = nan"}, "sim: nu must be finite, got nan"),
-        ("ensemble", {"nu = 1.5": "nu = nan"}, "sim: nu must be finite, got nan"),
         ("ensemble", {"c_sigma = 0.001": "c_sigma = 10"},
          "ensemble: need the damping radius's limit "),
         # a constant that is not positive and finite would pass the threshold
@@ -144,8 +137,8 @@ class TestStrictInputs:
         ("ensemble", {"c_sigma = 0.001": "c_sigma = estimate",
                       "\nsigma = 2.6\n": "\nsigma = 2\n"},
          "sim.c_sigma: transport estimate requires sigma > 2, got 2.0\n"),
-    ], ids=["simulate", "ensemble", "ensemble-threshold", "c_sigma-nan",
-            "c_sigma-negative", "c_star-nan", "c_star-negative", "c_sigma-estimate"])
+    ], ids=["ensemble-threshold", "c_sigma-nan", "c_sigma-negative", "c_star-nan",
+            "c_star-negative", "c_sigma-estimate"])
     def test_config_error_creates_no_output_dir(self, tmp_path, capsys,
                                                 command, edits, message):
         # every check, the experiment's thresholds included, runs before the
@@ -259,7 +252,8 @@ class TestStrictInputs:
 class TestConfigFuzz:
     """Every config either runs or names its key: each key of CI's two smoke
     ensembles set, one at a time, to each of a fixed list of values, in the
-    manner of QuickCheck (Claessen & Hughes 2000) on a hand-written list.
+    manner of QuickCheck (Claessen & Hughes 2000) on a hand-written list, and
+    run through both ``simulate`` and ``ensemble``.
 
     No value is left out as too long to run: the huge step counts
     (``sim.dt = 1e-300``, ``sim.T = 1e300``) are refused by the time grid's
@@ -296,43 +290,64 @@ class TestConfigFuzz:
     FLOATS = VALUES[:7]  # the values that float() reads
     FINITE = ("-1", "0", "1e300", "1e-300")
     BOTH = ("damping", "diffusion")
-    # (kinds, key, values, reason): the cases that run, and why they may
+    SIM, ENS = ("simulate",), ("ensemble",)
+    COMMANDS = SIM + ENS
+    D, F = ("damping",), ("diffusion",)
+    LARGER = "a weaker weight, a larger datum, whose |V0| the experiment refuses"
+    # (commands, kinds, keys, values, exit code, reason): every case that is
+    # not a config error, and why it may end so; `ensemble` exits 0 whatever
+    # its members' statuses
     RUNS = [
-        (("damping",), "ensemble.c_star", FLOATS, "the diffusion threshold's constant"),
-        (("diffusion",), "sim.c_sigma", FLOATS, "a damping radius's constant"),
-        (("damping",), "sim.beta", FLOATS, "a constant radius has no slope"),
-        (("diffusion",), "sim.beta", FINITE, "the experiment's beta is nu^2/4"),
-        (("diffusion",), "sim.alpha", ("1e300", "1e-300"),
-         "the experiment's alpha is -4 ln(epsilon)"),
-        (BOTH, "sim.phi0", ("0", "1e-300"), "a radius, used by a damping radius only"),
-        (BOTH, "sim.seeds", ("0", "", "1 2"), "read by simulate only"),
-        (BOTH, "initial_data.sigma", FINITE, "read by random_decay only"),
-        (BOTH, "initial_data.s", FINITE, "read by random_decay only"),
-        (BOTH, "initial_data.radius", FINITE, "read by random_analytic only"),
-        (BOTH, "initial_data.poly", FINITE, "read by random_analytic only"),
-        (("diffusion",), "initial_data.mode_b", ("-1", "0", "", "1 2"),
-         "single_mode places one mode"),
-        (("diffusion",), "initial_data.component_b", ("-1", "0"),
-         "single_mode places one mode"),
-        (("diffusion",), "initial_data.ratio", FINITE, "single_mode places one mode"),
-        (BOTH, "experiment.name", VALUES,
-         "any text prefixes the file names; an empty name writes _runs.jsonl"),
-        (BOTH, "initial_data.amplitude", ("-1",), "normalize_target sets the size"),
-        (("damping",), "initial_data.ratio", ("-1", "0", "1e-300"),
+        (COMMANDS, BOTH, "sim.seeds", ("0", "", "1 2"), 0,
+         "non-negative seeds, empty reads sim.seed; ensemble reads sim.seed only"),
+        (COMMANDS, BOTH, "initial_data.sigma initial_data.s", FINITE, 0,
+         "read by random_decay only"),
+        (COMMANDS, BOTH, "initial_data.radius initial_data.poly", FINITE, 0,
+         "read by random_analytic only"),
+        (COMMANDS, BOTH, "experiment.name", tuple(filter(None, VALUES)), 0,
+         "any text but empty or with a '/' prefixes the file names"),
+        (COMMANDS, BOTH, "initial_data.amplitude", ("-1",), 0, "normalize_target sets the size"),
+        (COMMANDS, BOTH, "initial_data.component", ("0",), 0, "the default component"),
+        (COMMANDS, BOTH, "initial_data.normalize_target", ("1e-300",), 0, "a positive target"),
+        (COMMANDS, BOTH, "initial_data.seed sim.seed", ("0",), 0, "a seed"),
+        (COMMANDS, BOTH, "sim.T", ("1e-300",), 0, "one step, to T"),
+        (COMMANDS, BOTH, "sim.dt", ("1e300",), 0, "one step, of T"),
+        (COMMANDS, BOTH, "sim.blowup_factor", ("1e300",), 0, "a factor > 1"),
+        (COMMANDS, BOTH, "sim.eta", ("0", "1e-300"), 0, "an offset >= 0 (ensemble: 0 is alpha/10)"),
+        (COMMANDS, BOTH, "sim.phi0", ("0", "1e-300"), 0, "a radius, read by damping radii only"),
+        (COMMANDS, D, "sim.beta", FLOATS, 0, "a constant radius has no slope"),
+        (COMMANDS, F, "sim.beta", ("-1", "0", "1e-300"), 0, "a slope below the cap nu^2/2"),
+        (ENS, F, "sim.beta", ("1e300",), 0, "the experiment's beta is nu^2/4"),
+        (ENS, F, "sim.alpha", ("1e300", "1e-300"), 0, "the experiment's alpha is -4 ln(epsilon)"),
+        (SIM, D, "sim.alpha", ("1e-300",), 0, "a radius > 0, but the experiment's limit < 0"),
+        (SIM, BOTH, "sim.c_sigma", FLOATS, 0, "read by a damping radius only"),
+        (ENS, F, "sim.c_sigma", FLOATS, 0, "the damping threshold's constant"),
+        (ENS, D, "ensemble.c_star", FLOATS, 0, "the diffusion threshold's constant"),
+        (ENS, D, "sim.c_sigma", ("1e-300",), 0, "a positive constant"),
+        (ENS, F, "ensemble.c_star", ("1e-300",), 0, "a positive constant"),
+        (SIM, BOTH, "ensemble.epsilon ensemble.c_star", FLOATS, 0, "read by ensemble only"),
+        (SIM, BOTH, "ensemble.paths", ("-1", "0"), 0, "read by ensemble only"),
+        (COMMANDS, F, "initial_data.mode_b", ("-1", "0", "", "1 2"), 0, "single_mode: one mode"),
+        (COMMANDS, F, "initial_data.component_b", ("-1", "0"), 0, "single_mode: one mode"),
+        (COMMANDS, F, "initial_data.ratio", FINITE, 0, "single_mode: one mode"),
+        (COMMANDS, D, "initial_data.ratio", ("-1", "0", "1e-300"), 0,
          "the second mode's share; 0 leaves it out"),
-        (BOTH, "initial_data.component", ("0",), "the default component"),
-        (("damping",), "initial_data.component_b", ("0",), "a mode on component 0"),
-        (("damping",), "initial_data.normalize_phi", ("0", "1e-300"), "a radius >= 0"),
-        (BOTH, "initial_data.normalize_target", ("1e-300",), "a positive target"),
-        (BOTH, "initial_data.seed", ("0",), "a seed"),
-        (BOTH, "sim.seed", ("0",), "a seed"),
-        (("damping",), "sim.s", ("0",), "the damping order"),
-        (BOTH, "sim.T", ("1e-300",), "one step, to T"),
-        (BOTH, "sim.dt", ("1e300",), "one step, of T"),
-        (BOTH, "sim.blowup_factor", ("1e300",), "a factor > 1"),
-        (BOTH, "sim.eta", ("0", "1e-300"), "an offset >= 0; 0 reads alpha/10"),
-        (("damping",), "sim.c_sigma", ("1e-300",), "a positive constant"),
-        (("diffusion",), "ensemble.c_star", ("1e-300",), "a positive constant"),
+        (COMMANDS, D, "initial_data.component_b", ("0",), 0, "a mode on component 0"),
+        (COMMANDS, D, "initial_data.normalize_phi", ("0", "1e-300"), 0, "a radius >= 0"),
+        (COMMANDS, D, "sim.s", ("0",), 0, "the damping order"),
+        (SIM, BOTH, "initial_data.normalize_sigma", ("1e-300",), 0, LARGER),
+        (SIM, D, "initial_data.normalize_s", ("0", "1e-300"), 0, LARGER),
+        (SIM, D, "sim.alpha", ("-1", "0"), bench_cli.EXIT_RADIUS, "a radius <= 0 at t = 0"),
+        (SIM, BOTH, "sim.alpha sim.eta", ("1e300",), bench_cli.EXIT_EXPONENT_CAP,
+         "a radius past the exponent cap at t = 0"),
+        (SIM, F, "sim.alpha", ("1e-300",), bench_cli.EXIT_GOODSET,
+         "the barrier nu*W <= alpha + beta*t starts at 0, and W(dt) > 0"),
+        # measured: with the transport zeroed the norm holds, |P Q(u0, u0)| is
+        # 7e-20 against coefficients of 4e-3, and the first step lifts the
+        # norm 1e5x / 1e17x / 1e26x at N = 3 / 4 / 5 (N = 3 completes)
+        (SIM, F, "initial_data.normalize_phi initial_data.normalize_s", ("0", "1e-300"),
+         bench_cli.EXIT_BLOWUP, "round-off: a steady datum, 5e11x larger at a weaker "
+         "weight, whose round-off exp(phi*|k|) lifts up to e^133"),
     ]
 
     @classmethod
@@ -345,44 +360,45 @@ class TestConfigFuzz:
 
     @pytest.mark.parametrize("kind", BOTH)
     def test_every_value_runs_or_names_its_key(self, tmp_path, capsys, kind):
-        runs = {(key, value) for kinds, key, values, _ in self.RUNS if kind in kinds
-                for value in values}
+        runs = {(command, code, key, value) for commands, kinds, keys, values, code, _
+                in self.RUNS if kind in kinds for command in commands
+                for key in keys.split() for value in values}
         cfg, out = tmp_path / "cfg.ini", tmp_path / "out"
         failures, ran = [], set()
-        for section, key, value in [(section, key, value)
-                                    for section, keys in bench_cli.CONFIG_KEYS.items()
-                                    for key in keys if (section, key) != ("output", "dir")
-                                    for value in self.VALUES]:
+        for command, section, key, value in [
+                (command, section, key, value) for command in self.COMMANDS
+                for section, keys in bench_cli.CONFIG_KEYS.items()
+                for key in keys if (section, key) != ("output", "dir")
+                for value in self.VALUES]:
             cfg.write_text(self.smoke_config(kind, section, key, value))
-            case = (f"{section}.{key}", value)
+            name = f"{section}.{key}"
             try:
-                code = bench_cli.main(["ensemble", "--config", str(cfg), "--quiet",
+                code = bench_cli.main([command, "--config", str(cfg), "--quiet",
                                        "--out", str(out)])
             except Exception as exc:
-                failures.append((case, f"{type(exc).__name__}: {exc}"))
+                failures.append((command, name, value, f"{type(exc).__name__}: {exc}"))
                 continue
             err = capsys.readouterr().err
-            if code == bench_cli.EXIT_CONFIG:
-                # the key itself, its section, the datum built from it, or the
-                # ensemble's quantities derived from it
-                if not err.startswith((f"config error: {section}.{key}:", *(
-                        f"config error: {s}:" for s in (section, "initial_data", "ensemble")))) \
-                        or out.exists():
-                    failures.append((case, err, out.exists()))
-            elif code == bench_cli.EXIT_OK:
-                ran.add(case)
-            elif code not in bench_cli.STATUS_EXIT_CODES.values():
-                failures.append((case, code))
+            if code != bench_cli.EXIT_CONFIG:
+                ran.add((command, code, name, value))
+            # the key itself, its section, the datum built from it, or the
+            # ensemble's quantities derived from it
+            elif not err.startswith((f"config error: {name}:", *(
+                    f"config error: {s}:" for s in (section, "initial_data", "ensemble")))) \
+                    or out.exists():
+                failures.append((command, name, value, err, out.exists()))
             shutil.rmtree(out, ignore_errors=True)
         assert failures == [] and ran == runs, (failures, ran - runs, runs - ran)
 
 
 class TestSimulate:
     def test_zero_data_completes(self, tmp_path):
+        # through `python -m`, the module's entry point: exit 0
         cfg = write_config(tmp_path, BASE_CONFIG.format(
             name="zero", family="zero", amplitude="1.0", outdir=tmp_path))
-        res = run_cli(["simulate", "--config", cfg, "--quiet"])
-        assert res.returncode == 0, res.stderr
+        res = subprocess.run([sys.executable, "-m", "hydrostat.bench_cli", "simulate",
+                              "--config", cfg, "--quiet"], capture_output=True, text=True)
+        assert res.returncode == 0 and res.stdout == res.stderr == "", res.stderr
         csv = (tmp_path / "zero_seed5.csv").read_text().splitlines()
         assert csv[0] == bench_cli.CSV_HEADER
         row = csv[1].split(",")
@@ -391,8 +407,7 @@ class TestSimulate:
     def test_summary_schema(self, tmp_path):
         cfg = write_config(tmp_path, BASE_CONFIG.format(
             name="tm", family="two_mode", amplitude="0.01", outdir=tmp_path))
-        res = run_cli(["simulate", "--config", cfg, "--quiet"])
-        assert res.returncode == 0, res.stderr
+        assert bench_cli.main(["simulate", "--config", cfg, "--quiet"]) == bench_cli.EXIT_OK
         line = json.loads((tmp_path / "tm_summary.jsonl").read_text().strip())
         assert set(line) == {"schema", "name", "seed", "status", "t_final",
                              "max_gevrey_norm", "goodset"}
@@ -403,7 +418,7 @@ class TestSimulate:
     def test_l2_drift_reported_small(self, tmp_path):
         cfg = write_config(tmp_path, BASE_CONFIG.format(
             name="cons", family="two_mode", amplitude="0.01", outdir=tmp_path))
-        run_cli(["simulate", "--config", cfg, "--quiet"])
+        assert bench_cli.main(["simulate", "--config", cfg, "--quiet"]) == bench_cli.EXIT_OK
         rows = (tmp_path / "cons_seed5.csv").read_text().splitlines()[1:]
         l2 = [float(r.split(",")[4]) for r in rows]
         assert abs(l2[-1] - l2[0]) <= 1e-9 * l2[0]
@@ -411,9 +426,9 @@ class TestSimulate:
     def test_byte_identical_rerun(self, tmp_path):
         cfg = write_config(tmp_path, BASE_CONFIG.format(
             name="rep", family="two_mode", amplitude="0.01", outdir=tmp_path))
-        run_cli(["simulate", "--config", cfg, "--quiet"])
+        assert bench_cli.main(["simulate", "--config", cfg, "--quiet"]) == bench_cli.EXIT_OK
         first = (tmp_path / "rep_seed5.csv").read_bytes()
-        run_cli(["simulate", "--config", cfg, "--quiet"])
+        assert bench_cli.main(["simulate", "--config", cfg, "--quiet"]) == bench_cli.EXIT_OK
         assert (tmp_path / "rep_seed5.csv").read_bytes() == first
 
     def test_blowup_exit_code(self, tmp_path):
@@ -423,8 +438,7 @@ class TestSimulate:
         text = text.replace("[initial_data]",
                             "blowup_factor = 50\n\n[initial_data]")
         cfg = write_config(tmp_path, text)
-        res = run_cli(["simulate", "--config", cfg, "--quiet"])
-        assert res.returncode == bench_cli.EXIT_BLOWUP
+        assert bench_cli.main(["simulate", "--config", cfg, "--quiet"]) == bench_cli.EXIT_BLOWUP
 
     def test_radius_exhausted_exit_code(self, tmp_path):
         text = """
@@ -454,8 +468,7 @@ amplitude = 1e-4
 dir = {outdir}
 """.format(outdir=tmp_path)
         cfg = write_config(tmp_path, text)
-        res = run_cli(["simulate", "--config", cfg, "--quiet"])
-        assert res.returncode == bench_cli.EXIT_RADIUS
+        assert bench_cli.main(["simulate", "--config", cfg, "--quiet"]) == bench_cli.EXIT_RADIUS
 
     def test_goodset_exit_code(self, tmp_path):
         # tiny radius, strong noise: the exponent crosses the radius fast
@@ -485,8 +498,7 @@ amplitude = 1e-6
 dir = {outdir}
 """.format(outdir=tmp_path)
         cfg = write_config(tmp_path, text)
-        res = run_cli(["simulate", "--config", cfg, "--quiet"])
-        assert res.returncode == bench_cli.EXIT_GOODSET
+        assert bench_cli.main(["simulate", "--config", cfg, "--quiet"]) == bench_cli.EXIT_GOODSET
 
     def test_exponent_cap_exit_code(self, tmp_path):
         # damping never stops at the barrier, and with nu = 1000 the scalar
@@ -560,19 +572,22 @@ dir = {outdir}
         assert (tmp_path / "cap0_seed1.csv").read_text() == bench_cli.CSV_HEADER + "\n"
 
     def test_config_error_exit_and_message(self, tmp_path):
+        # through `python -m`, the module's entry point: exit 2
         text = BASE_CONFIG.format(name="bad", family="two_mode",
                                   amplitude="0.01", outdir=tmp_path)
         cfg = write_config(tmp_path, text.replace("dt = 2e-3", ""))
-        res = run_cli(["simulate", "--config", cfg, "--quiet"])
+        res = subprocess.run([sys.executable, "-m", "hydrostat.bench_cli", "simulate",
+                              "--config", cfg, "--quiet"], capture_output=True, text=True)
         assert res.returncode == bench_cli.EXIT_CONFIG
-        assert "sim.dt" in res.stderr
+        assert res.stderr == "config error: sim.dt: required key is missing\n"
 
-    def test_unknown_family_reported(self, tmp_path):
+    def test_unknown_family_reported(self, tmp_path, capsys):
         cfg = write_config(tmp_path, BASE_CONFIG.format(
             name="bad2", family="vortex_soup", amplitude="1", outdir=tmp_path))
-        res = run_cli(["simulate", "--config", cfg, "--quiet"])
-        assert res.returncode == bench_cli.EXIT_CONFIG
-        assert "initial_data.family" in res.stderr
+        assert bench_cli.main(["simulate", "--config", cfg, "--quiet"]) \
+            == bench_cli.EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            "config error: initial_data.family: unknown family 'vortex_soup'\n"
 
     DIFFUSION_CONFIG = """
 [sim]
@@ -626,16 +641,16 @@ beta = {beta}
                                            amplitude="0.01", outdir=tmp_path / "out")}[noise]
         text = re.sub(rf"^{key} = .*\n", "", text, flags=re.M)
         text = text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
-        cfg = write_config(tmp_path, text)
+        cfg, out = write_config(tmp_path, text), tmp_path / "out"
         # sigma is read by the datum's norm before the SimConfig checks it
         expect = rf"config error: {section}: {key} past the exponent cap at N = 4: .*\n" \
             if value == "50" else \
             rf"config error: {section}: {key} must be (positive and |non-negative and )?" \
             rf"finite, got {float(value)}\n"
         for command in ("simulate", "ensemble") if noise == "damping" else ("simulate",):
-            assert bench_cli.main([command, "--config", cfg, "--quiet"]) \
+            assert bench_cli.main([command, "--config", cfg, "--quiet", "--out", str(out)]) \
                 == bench_cli.EXIT_CONFIG
-            assert re.fullmatch(expect, capsys.readouterr().err)
+            assert re.fullmatch(expect, capsys.readouterr().err) and not out.exists()
 
     @pytest.mark.parametrize("kind,key,message", [
         ("damping", "sim.sigma", "the tracked norm at t = 0 is nan: its weight "),
@@ -658,20 +673,35 @@ beta = {beta}
         assert capsys.readouterr().err.startswith(f"config error: {key}: {message}")
         assert not out.exists()
 
-    def test_missing_config_flag(self):
-        res = run_cli(["simulate"])
-        assert res.returncode == bench_cli.EXIT_CONFIG
+    def test_damping_step_past_horizon_is_one_step(self, tmp_path):
+        # the clocked solve took its first steps as dt/8 from the nominal dt,
+        # so dt = 1e300 overflowed its first node and reported a blowup
+        csvs = set()
+        for dt in ("0.1", "1", "1e300"):
+            cfg = write_config(tmp_path, TestConfigFuzz.smoke_config("damping", "sim", "dt", dt))
+            assert bench_cli.main(["simulate", "--config", cfg, "--quiet",
+                                   "--out", str(tmp_path / dt)]) == bench_cli.EXIT_OK
+            csvs.add((tmp_path / dt / "damping_smoke_seed0.csv").read_bytes())
+        assert len(csvs) == 1
+
+    def test_missing_config_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            bench_cli.main(["simulate"])
+        assert exc.value.code == bench_cli.EXIT_CONFIG
+        assert "the following arguments are required: --config" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key,value", [("dt", "nan"), ("dt", "inf"),
                                            ("T", "nan"), ("T", "inf")])
-    def test_non_finite_step_or_horizon_is_config_error(self, tmp_path, key, value):
+    def test_non_finite_step_or_horizon_is_config_error(self, tmp_path, capsys, key, value):
         text = BASE_CONFIG.format(name="bad", family="two_mode",
-                                  amplitude="0.01", outdir=tmp_path)
+                                  amplitude="0.01", outdir=tmp_path / "out")
         old = {"dt": "dt = 2e-3", "T": "T = 0.02"}[key]
         cfg = write_config(tmp_path, text.replace(old, f"{key} = {value}"))
-        res = run_cli(["simulate", "--config", cfg, "--quiet"])
-        assert res.returncode == bench_cli.EXIT_CONFIG, res.stderr
-        assert "config error" in res.stderr and "finite" in res.stderr
+        assert bench_cli.main(["simulate", "--config", cfg, "--quiet"]) \
+            == bench_cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(
+            "config error: sim: horizon and step must be positive and finite")
+        assert list(tmp_path.iterdir()) == [tmp_path / "cfg.ini"]
 
 
 class TestEnsemble:
@@ -711,8 +741,7 @@ dir = {outdir}
     def test_small_ensemble_reports(self, tmp_path):
         cfg = write_config(tmp_path, self.ENSEMBLE_CONFIG.format(
             c_sigma="0.001", paths=4, outdir=tmp_path))
-        res = run_cli(["ensemble", "--config", cfg, "--quiet"])
-        assert res.returncode == 0, res.stderr
+        assert bench_cli.main(["ensemble", "--config", cfg, "--quiet"]) == bench_cli.EXIT_OK
         report = json.loads((tmp_path / "ens_ensemble.json").read_text())
         assert report["target"] == 0.5
         assert 0.0 <= report["completed_fraction"] <= 1.0
@@ -722,8 +751,8 @@ dir = {outdir}
     def test_paths_flag_overrides(self, tmp_path):
         cfg = write_config(tmp_path, self.ENSEMBLE_CONFIG.format(
             c_sigma="0.001", paths=4, outdir=tmp_path))
-        res = run_cli(["ensemble", "--config", cfg, "--paths", "2", "--quiet"])
-        assert res.returncode == 0, res.stderr
+        assert bench_cli.main(["ensemble", "--config", cfg, "--paths", "2", "--quiet"]) \
+            == bench_cli.EXIT_OK
         runs = (tmp_path / "ens_runs.jsonl").read_text().strip().splitlines()
         assert len(runs) == 2
 
@@ -777,8 +806,8 @@ dir = {outdir}
                                                               "epsilon = 0.9")
         for i_cfg, text in enumerate((base, strong)):
             cfg_path = write_config(tmp_path, text, f"cfg{i_cfg}.ini")
-            res = run_cli(["ensemble", "--config", cfg_path, "--quiet"])
-            assert res.returncode == 0, res.stderr
+            assert bench_cli.main(["ensemble", "--config", cfg_path, "--quiet"]) \
+                == bench_cli.EXIT_OK
             report = json.loads((tmp_path / "ens_ensemble.json").read_text())
             params = GoodSetParams(report["alpha"], report["beta"], report["nu"])
             expected = []
@@ -895,32 +924,36 @@ normalize_phi = 3.0498475944637593
 
 
 class TestGoodsetCommand:
-    def test_record_fields_and_anchors(self):
-        res = run_cli(["goodset", "--alpha", "2", "--beta", "0.5", "--nu", "1",
-                       "--T", "2", "--dt", "0.01", "--paths", "200"])
-        assert res.returncode == 0, res.stderr
-        rec = json.loads(res.stdout.strip())
+    def test_record_fields_and_anchors(self, capsys):
+        assert bench_cli.main(["goodset", "--alpha", "2", "--beta", "0.5", "--nu", "1",
+                               "--T", "2", "--dt", "0.01", "--paths", "200"]) == 0
+        rec = json.loads(capsys.readouterr().out)
         assert rec["paper_bound"] == pytest.approx(1 - math.exp(-1.0))
         assert rec["exact_value"] == pytest.approx(1 - math.exp(-2.0))
         assert 0.0 <= rec["estimate"] <= 1.0
 
-    def test_huge_alpha_sure_survival(self):
-        res = run_cli(["goodset", "--alpha", "50", "--beta", "1", "--nu", "1",
-                       "--T", "1", "--dt", "0.01", "--paths", "150"])
-        rec = json.loads(res.stdout.strip())
+    def test_huge_alpha_sure_survival(self, capsys):
+        assert bench_cli.main(["goodset", "--alpha", "50", "--beta", "1", "--nu", "1",
+                               "--T", "1", "--dt", "0.01", "--paths", "150"]) == 0
+        rec = json.loads(capsys.readouterr().out)
         assert rec["estimate"] == 1.0
 
-    def test_seed_consistency(self):
+    def test_seed_consistency(self, capsys):
         args = ["goodset", "--alpha", "1.5", "--beta", "0.5", "--nu", "1",
                 "--T", "2", "--dt", "0.01", "--paths", "300"]
-        a = json.loads(run_cli(args + ["--seed", "1"]).stdout.strip())
-        b = json.loads(run_cli(args + ["--seed", "2"]).stdout.strip())
+        records = []
+        for seed in ("1", "2"):
+            assert bench_cli.main(args + ["--seed", seed]) == bench_cli.EXIT_OK
+            records.append(json.loads(capsys.readouterr().out))
+        a, b = records
         joint = 1.96 * math.hypot(a["std_error"], b["std_error"])
         assert abs(a["estimate"] - b["estimate"]) <= joint + 0.05
 
-    def test_invalid_params(self):
-        res = run_cli(["goodset", "--alpha", "-1", "--beta", "1", "--nu", "1"])
-        assert res.returncode == bench_cli.EXIT_CONFIG
+    def test_invalid_params(self, capsys):
+        assert bench_cli.main(["goodset", "--alpha", "-1", "--beta", "1", "--nu", "1"]) \
+            == bench_cli.EXIT_CONFIG
+        assert capsys.readouterr() == ("", "config error: goodset: alpha, beta, nu must "
+                                       "all be positive and finite, got -1.0, 1.0, 1.0\n")
 
     @pytest.mark.parametrize("flag", ["--alpha", "--beta", "--nu"])
     def test_non_finite_param_is_config_error(self, capsys, flag):
@@ -936,26 +969,25 @@ class TestGoodsetCommand:
     @pytest.mark.parametrize("flags", [["--dt", "0"], ["--dt", "-0.01"],
                                        ["--T", "-1"], ["--T", "inf"], ["--T", "0"]],
                              ids=["dt0", "dt-neg", "T-neg", "T-inf", "T0"])
-    def test_bad_horizon_or_step_is_config_error(self, flags):
-        res = run_cli(["goodset", "--alpha", "1", "--beta", "1", "--nu", "1",
-                       "--paths", "100", *flags])
-        assert res.returncode == bench_cli.EXIT_CONFIG, res.stderr
-        assert res.stderr.startswith("config error: goodset:"), res.stderr
-        assert "Traceback" not in res.stderr and res.stdout == ""
+    def test_bad_horizon_or_step_is_config_error(self, capsys, flags):
+        assert bench_cli.main(["goodset", "--alpha", "1", "--beta", "1", "--nu", "1",
+                               "--paths", "100", *flags]) == bench_cli.EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert err.startswith("config error: goodset:") and out == ""
 
 
 class TestVerify:
     @pytest.mark.parametrize("suite", ["exponents", "kernel-bound"])
-    def test_fast_suites_pass(self, suite):
-        res = run_cli(["verify", suite])
-        assert res.returncode == 0, res.stdout + res.stderr
-        payload = json.loads(res.stdout.strip())
+    def test_fast_suites_pass(self, capsys, suite):
+        assert bench_cli.main(["verify", suite]) == bench_cli.EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is True
         assert payload["suite"] == suite
 
     def test_unknown_suite(self):
-        res = run_cli(["verify", "made-up"])
-        assert res.returncode == bench_cli.EXIT_CONFIG
+        with pytest.raises(SystemExit) as exc:
+            bench_cli.main(["verify", "made-up"])
+        assert exc.value.code == bench_cli.EXIT_CONFIG
 
     def test_cancellation_suite_inprocess(self):
         result = bench_cli.VERIFY_IMPL["cancellation"]()
