@@ -9,15 +9,13 @@ Config files use a flat ``key = value`` grammar with ``[section]`` headers
 and ``#`` comments; ``CONFIG_KEYS`` names every accepted section and key.
 Outputs are a fixed-column CSV time series per run and JSON-lines
 summaries; identical config and seed reproduce byte-identical files.
-Diffusion ensemble members run on the forked worker processes of
-``dynamics.parallel_map``, one per CPU in the process's affinity mask
-(``taskset -c 0`` runs them one after another), as the interpreter lock
-would serialize their Python glue on threads; damping members share one
-clocked solve.  Every member equals its run alone and the records keep
-path-index order, so the output files do not depend on the worker count.
-``goodset`` sends its paths to the same forked workers, one strided block
-of path indices per CPU (``taskset -c 0`` runs them one after another), and
-its estimate, a survivor count, does not depend on the worker count either.
+Diffusion ensemble members and ``goodset``'s paths run on the forked
+worker processes of ``dynamics.parallel_map``, one per CPU in the process's
+affinity mask (``taskset -c 0`` runs them one after another), as the
+interpreter lock would serialize their Python glue on threads; damping
+members share one clocked solve.  No output depends on the worker count:
+each member equals its run alone, in path-index order, and the good-set
+estimate is a survivor count.
 A bad config or argument (an unknown section, key or flag, or a bad value
 such as a non-finite step) exits with code 2.
 """
@@ -26,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import inspect
 import json
 import math
 import sys
@@ -279,7 +278,7 @@ def write_csv(record: RunRecord, path: Path) -> None:
 
 
 def summary_line(record: RunRecord) -> str:
-    return json.dumps(record.summary(), sort_keys=True)
+    return json.dumps({"schema": SCHEMA_VERSION, **record.summary()}, sort_keys=True)
 
 
 # ----------------------------------------------------------- subcommands ---
@@ -410,7 +409,7 @@ def _verify_cancellation(seed=0) -> dict:
     return {"max_residual": worst, "tolerance": 1e-10, "ok": worst <= 1e-10}
 
 
-def _verify_exponents(seed=0) -> dict:
+def _verify_exponents() -> dict:
     table = []
     ok = True
     for ss in [round(1.55 + 0.05 * i, 2) for i in range(9)]:
@@ -458,7 +457,7 @@ def _verify_nonlinear_estimate(seed=0) -> dict:
             "ok": math.isfinite(est1.value) and est1.value == est2.value and invariant}
 
 
-def _verify_picard(seed=0) -> dict:
+def _verify_picard() -> dict:
     N = 8
     u0 = initial_data.random_analytic(N, radius=0.3, seed=11)
     p = GevreyParams(1.9, 1.0, 0.2)
@@ -477,7 +476,7 @@ def _verify_picard(seed=0) -> dict:
             "fixed_point_consistency": consistency, "ok": ok}
 
 
-def _verify_kernel_bound(seed=0) -> dict:
+def _verify_kernel_bound() -> dict:
     k_max = gevrey.max_abs_k(16)
     coarse = picard.kernel_bound_probe(1.9, 1.0, 2.0, 0.5, k_max, 200, 200)
     fine = picard.kernel_bound_probe(1.9, 1.0, 2.0, 0.5, k_max, 400, 400)
@@ -499,7 +498,10 @@ VERIFY_SUITES = tuple(VERIFY_IMPL)
 
 
 def cmd_verify(args) -> int:
-    result = VERIFY_IMPL[args.suite](seed=args.seed)
+    suite = VERIFY_IMPL[args.suite]
+    if args.seed is not None and "seed" not in inspect.signature(suite).parameters:
+        raise ConfigError(f"--seed: the {args.suite} suite reads no seed")
+    result = suite() if args.seed is None else suite(seed=args.seed)
     payload = {"schema": SCHEMA_VERSION, "suite": args.suite, **result}
     print(json.dumps(payload, sort_keys=True, default=float))
     return EXIT_OK if result["ok"] else 1
@@ -539,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="named probe battery")
     p.add_argument("suite", choices=VERIFY_SUITES)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_verify)
 
     return ap

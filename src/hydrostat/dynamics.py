@@ -234,7 +234,6 @@ class RunRecord:
         finite norm was recorded, as for a stop at the cap at t = 0."""
         peak = self.max_gevrey_norm
         return {
-            "schema": 1,
             "name": self.name,
             "seed": _seed_repr(self.seed),
             "status": self.status,
@@ -578,6 +577,10 @@ def _run_clocked(u0: SpectralVelocity, cfg: SimConfig, paths: list,
 
 
 _fork_fn = None  # a forked worker's function, set by its pool initializer
+# Chunks per forked worker: a short list (8 ensemble members on 2 CPUs) keeps
+# one item per task, which one chunk per worker slowed, and a long list goes
+# in a few round trips per worker, so that the others can balance a slow one.
+_CHUNKS_PER_WORKER = 4
 
 
 def _set_fork_fn(fn) -> None:
@@ -603,15 +606,16 @@ def parallel_map(fn, items, fork: bool = False) -> list:
     The workers are threads by default, for independent transports, whose
     FFTs run without the interpreter lock: two threads run N = 16
     transports at 2.0-2.4x the speed of one.  ``fork=True`` forks worker
-    processes instead, for whole N = 4 runs, whose Python glue the lock
-    serializes: two threads run those at 0.7-0.8x.  A forked worker
-    inherits ``fn``, closures included, as its pool initializer's argument,
-    so only an item goes to it and only its result comes back.
+    processes instead, for whole N = 4 runs and good-set paths, whose Python
+    glue the lock serializes: two threads run those at 0.7-0.8x.  A forked
+    worker inherits ``fn``, closures included, from its pool initializer,
+    and gets the items in ``_CHUNKS_PER_WORKER`` contiguous chunks per worker.
 
     Each item is computed alone, so the results do not depend on the worker
-    count.  They come back in item order; the error of the first failing
-    item is raised with its type and message, as the loop would raise it;
-    and no worker outlives the call, so a later fork copies none.
+    count.  They come back in item order; the first failing item's error is
+    raised with its type and message, as the loop would raise it (its chunk
+    stops there); and no worker outlives the call, so a later fork copies
+    none.
     """
     items = list(items)
     workers = min(_cpu_count(), len(items))
@@ -625,7 +629,8 @@ def parallel_map(fn, items, fork: bool = False) -> list:
     with concurrent.futures.ProcessPoolExecutor(
             workers, mp_context=multiprocessing.get_context("fork"),
             initializer=_set_fork_fn, initargs=(fn,)) as pool:
-        return list(pool.map(_call_fork_fn, items))
+        chunk = math.ceil(len(items) / (_CHUNKS_PER_WORKER * workers))
+        return list(pool.map(_call_fork_fn, items, chunksize=chunk))
 
 
 def run_ensemble(u0: SpectralVelocity, cfg: SimConfig, n_paths: int) -> list[RunRecord]:

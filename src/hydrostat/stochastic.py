@@ -13,7 +13,7 @@ Refining ``dt`` under the same seed produces a *different* discrete path
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -187,11 +187,10 @@ class GoodSetEstimate:
     n_survived: int
     T: float
     dt: float
-    seed: object = field(default=None, compare=False)
 
     def as_dict(self) -> dict:
-        """Every field but ``seed``, the JSON record of ``hydrostat goodset``."""
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "seed"}
+        """The JSON record of ``hydrostat goodset``."""
+        return asdict(self)
 
 
 def binomial_se(p_hat: float, n: int) -> float:
@@ -223,39 +222,32 @@ def good_set_probability(p: GoodSetParams, T: float, dt: float, n_paths: int,
     of ``_EXIT_CHUNK`` and stops at its first exit.  Each chunk carries the
     running sum into its first increment before ``cumsum``, so its partial
     sums are bit for bit those of one ``cumsum`` over the whole path.  The
-    paths run on ``dynamics.parallel_map``'s forked workers, one strided
-    block of path indices per CPU.  The survivor count, and so the result,
-    does not depend on the worker count or the chunk length.  The fork costs
-    tens of milliseconds per call, which a small call feels; one CPU in the
-    affinity mask runs the paths in the calling thread.
+    paths run on ``dynamics.parallel_map``'s forked workers; their survivor
+    count, the result, depends on neither the worker count nor the chunk
+    lengths.  The fork costs tens of milliseconds per call, which a small
+    call feels; one CPU in the affinity mask runs them in this thread.
     """
-    from .dynamics import _cpu_count, parallel_map  # dynamics imports this module
+    from .dynamics import parallel_map  # dynamics imports this module
     if n_paths < 100:
         raise ValueError(f"need at least 100 paths, got {n_paths}")
     times = _time_grid(T, dt)
     nu_sqrt_diffs = p.nu * np.sqrt(np.diff(times))
     levels = p.alpha + p.beta * times[1:]
 
-    def survivors(block: range) -> int:
-        count = 0
-        for i in block:
-            rng = np.random.default_rng(path_seed(seed, i))
-            nu_w_end = 0.0
-            for a in range(0, len(levels), _EXIT_CHUNK):
-                b = min(a + _EXIT_CHUNK, len(levels))
-                incr = rng.standard_normal(b - a) * nu_sqrt_diffs[a:b]
-                incr[0] += nu_w_end
-                nu_w = np.cumsum(incr)
-                if first_exit(nu_w, levels[a:b]) is not None:
-                    break
-                nu_w_end = nu_w[-1]
-            else:
-                count += 1
-        return count
+    def survives(i: int) -> bool:
+        rng = np.random.default_rng(path_seed(seed, i))
+        nu_w_end = 0.0
+        for a in range(0, len(levels), _EXIT_CHUNK):
+            b = min(a + _EXIT_CHUNK, len(levels))
+            incr = rng.standard_normal(b - a) * nu_sqrt_diffs[a:b]
+            incr[0] += nu_w_end
+            nu_w = np.cumsum(incr)
+            if first_exit(nu_w, levels[a:b]) is not None:
+                return False
+            nu_w_end = nu_w[-1]
+        return True
 
-    k = _cpu_count()
-    survived = sum(parallel_map(survivors, [range(j, n_paths, k) for j in range(k)],
-                                fork=True))
+    survived = sum(parallel_map(survives, range(n_paths), fork=True))
     p_hat, half = binomial_ci(survived, n_paths)
     return GoodSetEstimate(
         estimate=p_hat,
@@ -268,5 +260,4 @@ def good_set_probability(p: GoodSetParams, T: float, dt: float, n_paths: int,
         n_survived=survived,
         T=T,
         dt=dt,
-        seed=seed,
     )

@@ -989,6 +989,20 @@ class TestVerify:
             bench_cli.main(["verify", "made-up"])
         assert exc.value.code == bench_cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("suite", ["exponents", "picard-consistency", "kernel-bound"])
+    def test_seed_refused_by_unseeded_suite(self, capsys, suite):
+        # these suites read no seed, so a --seed would change nothing
+        assert bench_cli.main(["verify", suite, "--seed", "7"]) == bench_cli.EXIT_CONFIG
+        assert capsys.readouterr() == (
+            "", f"config error: --seed: the {suite} suite reads no seed\n")
+
+    def test_seed_reaches_seeded_suite(self, capsys):
+        printed = []
+        for argv in ([], ["--seed", "0"], ["--seed", "7"]):
+            assert bench_cli.main(["verify", "cancellation", *argv]) == bench_cli.EXIT_OK
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1] != printed[2]
+
     def test_cancellation_suite_inprocess(self):
         result = bench_cli.VERIFY_IMPL["cancellation"]()
         assert result["ok"] and result["max_residual"] <= 1e-10

@@ -750,27 +750,29 @@ class TestParallelMap:
             == [worker_id()] * 3
 
     def test_item_order_first_error_and_no_worker_remains(self, set_cpus, fork):
-        # results come in item order; item 1 fails first and item 0 after
-        # it, and the map raises item 0's error with its type and message,
-        # as the loop would; every worker has ended either way
+        # results come in item order; the last item fails first and item 0
+        # after it, and the map raises item 0's error with its type and
+        # message, as the loop would; every worker has ended either way
         set_cpus(2)
         before = workers_alive()
         assert dy.parallel_map(abs, range(-3, 3), fork=fork) == [3, 2, 1, 0, 1, 2]
+        assert dy.parallel_map(abs, range(-4, 4), fork=fork) == [4, 3, 2, 1, 0, 1, 2, 3]
         assert workers_alive() == before
-        item_1_failed = multiprocessing.get_context("fork").Event()
+        for n in (4, 8, 40):  # forked chunks of 1, 1 and 5 items
+            last_failed = multiprocessing.get_context("fork").Event()
 
-        def work(i):
-            if i == 0:
-                item_1_failed.wait(10.0)
-                raise MemberFailure("item 0 failed")
-            if i == 1:
-                item_1_failed.set()
-                raise MemberFailure("item 1 failed")
-            return i
+            def work(i):
+                if i == 0:
+                    last_failed.wait(10.0)
+                    raise MemberFailure("item 0 failed")
+                if i == n - 1:
+                    last_failed.set()
+                    raise MemberFailure(f"item {i} failed")
+                return i
 
-        with pytest.raises(MemberFailure, match="^item 0 failed$"):
-            dy.parallel_map(work, range(4), fork=fork)
-        assert workers_alive() == before
+            with pytest.raises(MemberFailure, match="^item 0 failed$"):
+                dy.parallel_map(work, range(n), fork=fork)
+            assert workers_alive() == before
 
     def test_closure_runs_in_the_workers(self, set_cpus, fork):
         # a closure over local state, which pickling would refuse, runs off
@@ -783,3 +785,14 @@ class TestParallelMap:
         assert worker_id() not in {w for _, w in out}
         if fork:
             assert os.getpid() not in {pid for _, (pid, _) in out}
+
+
+def test_forked_map_sends_contiguous_chunks(set_cpus):
+    # 40 items on 2 workers go out in chunks of ceil(40 / (4 * 2)) = 5, each
+    # computed by one worker
+    set_cpus(2)
+    before = workers_alive()
+    pids = dy.parallel_map(lambda x: os.getpid(), range(40), fork=True)
+    assert all(len(set(pids[a:a + 5])) == 1 for a in range(0, 40, 5))
+    assert os.getpid() not in pids
+    assert workers_alive() == before

@@ -157,7 +157,7 @@ class TestGoodSetProbability:
         assert a.estimate == b.estimate
 
     def test_estimate_does_not_depend_on_cpu_count(self, set_cpus):
-        # one strided block of paths per worker; every worker has ended
+        # the paths go to the workers in contiguous chunks; every worker has ended
         params = GoodSetParams(1.5, 0.5, 1.0)
         before = threading.active_count(), len(multiprocessing.active_children())
         estimates = []
