@@ -1,8 +1,11 @@
 """Fixed-point construction of mild solutions.
 
 Iterates the solution map from the constant trajectory, prints the
-geometric decay of successive differences and the measured contraction
-factor, and cross-checks the converged trajectory against the time
+geometric decay of successive differences, the measured contraction
+factor theta, the a-posteriori error bound theta/(1 - theta)*d on the
+distance to the fixed point and which test stopped the solve (the last
+difference d below the tolerance, or, with theta < 1/2, the error bound
+below it), and cross-checks the converged trajectory against the time
 stepper on the same grid.
 """
 
@@ -22,8 +25,12 @@ prob = picard.MildProblem(u0=u0, cfg=cfg, horizon=T, n_nodes=65, tol=1e-12)
 path = dynamics._zero_path(T, 1e-3)
 
 res = picard.fixed_point_solve(prob, path)
+stop = ("last difference" if res.difference_history[-1] < prob.tol
+        else "error bound")
 print(f"converged in {res.iterations} iterations; "
       f"contraction estimate {res.contraction_estimate:.3e}")
+print(f"stopped by the {stop} below tol {prob.tol:.0e}; "
+      f"error bound {res.error_bound:.3e}")
 print("successive sup-norm differences:")
 for k, d in enumerate(res.difference_history, 1):
     print(f"  iter {k}: {d:.3e}")

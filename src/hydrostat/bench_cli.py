@@ -473,6 +473,7 @@ def _verify_picard() -> dict:
     ok = (res.contraction_estimate < 1.0 and consistency <= 2.0 * prob.tol)
     return {"iterations": res.iterations,
             "contraction_estimate": res.contraction_estimate,
+            "error_bound": res.error_bound,
             "fixed_point_consistency": consistency, "ok": ok}
 
 

@@ -4,12 +4,17 @@ The solution map propagates the data with the exact per-mode heat factor
 and subtracts the propagated time integral of the projected twisted
 transport term (composite trapezoid on a uniform grid).  Iterating the map
 from the constant-in-time trajectory realizes the contraction construction;
-the measured ratio of successive differences estimates the contraction
-factor.  The map evaluates one transport per distinct (trajectory entry, W)
-pair, so the first iterate on a zero path costs a single transport, and runs
-those transports concurrently on the threads of ``dynamics.parallel_map``,
-as their FFTs run without the interpreter lock; each is computed alone, so
-the trajectory does not depend on the CPU count.
+the largest measured ratio of successive differences estimates the
+contraction factor theta.  The iteration stops at the first difference d_k
+below the tolerance, or earlier, once theta < 1/2 and the a-posteriori
+bound theta/(1 - theta)*d_k on the distance to the fixed point is below it
+(the stopping test for contractive iterations in Hairer & Wanner, Solving
+ODEs II, IV.8); the factor is then below 1, so that test never stops later
+than the first.  The map evaluates one transport per distinct (trajectory
+entry, W) pair, so the first iterate on a zero path costs a single
+transport, and runs those transports concurrently on the threads of
+``dynamics.parallel_map``, as their FFTs run without the interpreter lock;
+each is computed alone, so the trajectory does not depend on the CPU count.
 
 The kernel is smooth on the truncated mode set, so the trapezoid rule is
 adequate; node-doubling convergence is the verification.  High dissipation
@@ -62,8 +67,11 @@ class MildProblem:
     def __post_init__(self):
         if self.cfg.noise != "diffusion":
             raise ValueError("the mild formulation applies to the diffusion form")
-        if self.horizon <= 0.0 or self.n_nodes < 2:
-            raise ValueError("need horizon > 0 and at least 2 quadrature nodes")
+        dynamics._check_truncation(self.u0, self.cfg)
+        if not 0.0 < self.horizon < math.inf:
+            raise ValueError(f"need 0 < horizon < inf, got horizon={self.horizon}")
+        if self.n_nodes < 2:
+            raise ValueError(f"need at least 2 quadrature nodes, got n_nodes={self.n_nodes}")
         if self.max_iter < 1 or not 0.0 < self.tol < math.inf:
             raise ValueError(f"need max_iter >= 1 and 0 < tol < inf, got "
                              f"max_iter={self.max_iter}, tol={self.tol}")
@@ -146,6 +154,8 @@ class PicardResult:
     contraction_estimate: float
     difference_history: list
     sup_norm: float
+    # theta/(1 - theta) * d at return: NaN before a ratio exists, inf once theta >= 1
+    error_bound: float
     stayed_in_ball: bool = True  # within ``prob.default_ball_radius()``
 
 
@@ -163,10 +173,12 @@ def fixed_point_solve(prob: MildProblem, path: BrownianPath) -> PicardResult:
     """Iterate the mild solution map from the constant-in-time trajectory.
 
     The starting trajectory is one projected datum shared by every node.
-    Stops when the sup-Gevrey distance between successive trajectories drops
-    below ``prob.tol``; raises PicardDivergenceError once that distance is
-    not finite, or after ``max_iter`` iterations, mirroring the
-    horizon-smallness requirement of the contraction construction.
+    Stops at the first iteration where the sup-Gevrey distance d between
+    successive trajectories is below ``prob.tol``, or where the contraction
+    estimate theta is below 1/2 and the error bound theta/(1 - theta)*d is
+    below ``prob.tol``; raises PicardDivergenceError once d is not finite,
+    or after ``max_iter`` iterations, mirroring the horizon-smallness
+    requirement of the contraction construction.
     """
     u0p = spectral.project_constraints(prob.u0)
     current = [u0p] * prob.n_nodes  # one object: one transport per distinct W
@@ -188,13 +200,16 @@ def fixed_point_solve(prob: MildProblem, path: BrownianPath) -> PicardResult:
         if len(diffs) >= 2 and diffs[-2] > 0.0:
             ratio = diffs[-1] / diffs[-2]
             contraction = ratio if math.isnan(contraction) else max(contraction, ratio)
-        if d < prob.tol:
+        bound = (contraction / (1.0 - contraction) * d if contraction < 1.0
+                 else math.inf if contraction >= 1.0 else math.nan)
+        if d < prob.tol or (contraction < 0.5 and bound < prob.tol):
             return PicardResult(
                 trajectory=current,
                 iterations=it,
                 contraction_estimate=contraction,
                 difference_history=diffs,
                 sup_norm=sup,
+                error_bound=bound,
                 stayed_in_ball=in_ball,
             )
     raise PicardDivergenceError(

@@ -172,13 +172,78 @@ class TestThreadedTransports:
         assert "(phi=10000," in messages[0]  # nu * W at node 5
 
 
+def weak_cfg(horizon):
+    """N = 4 with little dissipation, where large data contract slowly."""
+    return SimConfig(noise="diffusion", nu=0.3, s=1.0, sigma=1.9,
+                     radius=RadiusSchedule.linear(0.2, 0.02), n_modes=4,
+                     dt=1e-3, horizon=horizon)
+
+
+def difference_rule_iterates(prob, path):
+    """Every iterate of the map up to the first whose difference from the
+    one before is below ``prob.tol``: the stop rule without the error bound."""
+    traj = [spectral.project_constraints(prob.u0)] * prob.n_nodes
+    iterates = []
+    for _ in range(prob.max_iter):
+        nxt = picard.duhamel_map(traj, prob, path)
+        d = picard._sup_norm((a - b for a, b in zip(nxt, traj)), prob)
+        iterates.append(nxt)
+        traj = nxt
+        if d < prob.tol:
+            return iterates
+    raise AssertionError("the difference rule did not converge")
+
+
 class TestFixedPoint:
     def test_zero_data_converges_immediately(self):
         prob = MildProblem(u0=SpectralVelocity.zeros(4), cfg=make_cfg(N=4),
                            horizon=0.05, n_nodes=9)
         res = picard.fixed_point_solve(prob, dy._zero_path(0.05, 1e-3))
         assert res.iterations == 1
+        assert math.isnan(res.error_bound)  # no ratio of differences yet
         assert all(np.abs(u.coeffs).max() == 0.0 for u in res.trajectory)
+
+    def test_probes_datum_stops_at_error_bound(self):
+        # the criterion-06 datum: theta is about 8e-7, so after two maps
+        # theta/(1 - theta)*d_2 is about 1e-14 while d_2 is about 1e-8
+        prob = MildProblem(u0=small_data(), cfg=make_cfg(), horizon=0.05, n_nodes=33,
+                           tol=1e-13)
+        path = dy._zero_path(0.05, 1e-3)
+        res = picard.fixed_point_solve(prob, path)
+        theta, d = res.contraction_estimate, res.difference_history[-1]
+        assert res.iterations == 2
+        assert theta < 0.5 and d >= prob.tol
+        assert res.error_bound == theta / (1.0 - theta) * d < prob.tol
+        again = picard.duhamel_map(res.trajectory, prob, path)
+        assert picard._sup_norm((a - b for a, b in zip(again, res.trajectory)),
+                                prob) <= 2.0 * prob.tol
+
+    def test_weak_contraction_stops_at_difference_rule(self):
+        # the first ratio of differences is about 0.64, so the error bound
+        # is never used and the solve stops where the difference rule does
+        prob = MildProblem(u0=small_data(N=4, target=400.0), cfg=weak_cfg(0.2),
+                           horizon=0.2, n_nodes=9, tol=1e-10)
+        path = dy._zero_path(0.2, 1e-3)
+        res = picard.fixed_point_solve(prob, path)
+        assert res.contraction_estimate >= 0.5
+        assert res.iterations == len(difference_rule_iterates(prob, path))
+        assert res.error_bound > prob.tol
+
+    @pytest.mark.parametrize("target,horizon", [(1e-2, 0.05), (2.0, 0.2), (40.0, 0.05),
+                                                (200.0, 0.2), (200.0, 0.5)])
+    def test_never_stops_later_than_difference_rule(self, target, horizon):
+        # the returned trajectory is the difference rule's iterate at the
+        # same count, and within tol of that rule's last iterate
+        prob = MildProblem(u0=small_data(N=4, target=target), cfg=weak_cfg(horizon),
+                           horizon=horizon, n_nodes=9, tol=1e-10)
+        path = dy._zero_path(horizon, 1e-3)
+        res = picard.fixed_point_solve(prob, path)
+        iterates = difference_rule_iterates(prob, path)
+        assert res.iterations <= len(iterates)
+        assert [u.coeffs.tobytes() for u in res.trajectory] == \
+            [u.coeffs.tobytes() for u in iterates[res.iterations - 1]]
+        assert picard._sup_norm((a - b for a, b in zip(res.trajectory, iterates[-1])),
+                                prob) <= prob.tol
 
     def test_small_data_contracts_geometrically(self):
         u0 = small_data()
@@ -267,6 +332,20 @@ class TestFixedPoint:
         with pytest.raises(ValueError, match="need max_iter >= 1 and 0 < tol < inf"):
             MildProblem(u0=small_data(), cfg=make_cfg(), horizon=0.05, n_nodes=9,
                         tol=tol, max_iter=max_iter)
+
+    def test_truncation_mismatch_rejected(self):
+        # data at N = 6 under n_modes = 4 converged at N = 6, while
+        # dynamics.run refuses the same pairing
+        with pytest.raises(spectral.TruncationMismatchError,
+                           match="data N=6 vs n_modes=4"):
+            MildProblem(u0=small_data(N=6), cfg=make_cfg(N=4), horizon=0.05, n_nodes=9)
+
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf, 0.0, -0.05])
+    def test_horizon_validated(self, horizon):
+        # nan failed later in the solve with a message about phi, and inf
+        # reached a RuntimeWarning in a multiply
+        with pytest.raises(ValueError, match=f"need 0 < horizon < inf, got horizon={horizon}"):
+            MildProblem(u0=small_data(), cfg=make_cfg(), horizon=horizon, n_nodes=9)
 
     @pytest.mark.parametrize("target", [1e4, 1e6, 1e8])
     def test_overflowed_iteration_is_divergence(self, target):
