@@ -2,8 +2,9 @@
 
 Subcommands: ``simulate`` (single runs, one per configured seed),
 ``ensemble`` (high-probability globality experiment), ``goodset``
-(survival-probability estimate, flags only), and ``verify`` (named probe
-batteries); each takes only the flags it reads.
+(survival-probability estimate, flags only), and ``verify`` (one check of
+``checks.CHECKS`` as JSON, or ``paper``, every check once in one object);
+each takes only the flags it reads.
 
 Config files use a flat ``key = value`` grammar with ``[section]`` headers
 and ``#`` comments; ``CONFIG_KEYS`` names every accepted section and key.
@@ -33,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, dynamics, gevrey, initial_data, picard, stochastic
+from . import analysis, checks, dynamics, gevrey, initial_data, stochastic
 from .dynamics import RadiusSchedule, RunRecord, SimConfig
 from .gevrey import GevreyParams
 from .stochastic import GoodSetParams
@@ -399,110 +400,18 @@ def cmd_goodset(args) -> int:
     return EXIT_OK
 
 
-# ----------------------------------------------------------- verify suites ---
+# ---------------------------------------------------------------- verify ---
 
-def _verify_cancellation(seed=0) -> dict:
-    worst = 0.0
-    for i in range(100):
-        u = initial_data.random_decay(8, 2.0, 1.0, seed=stochastic.path_seed(seed, i))
-        worst = max(worst, analysis.twisted_cancellation_residual(u, 1.0, 0.0, 1.0))
-    return {"max_residual": worst, "tolerance": 1e-10, "ok": worst <= 1e-10}
-
-
-def _verify_exponents() -> dict:
-    table = []
-    ok = True
-    for ss in [round(1.55 + 0.05 * i, 2) for i in range(9)]:
-        constructive = analysis.feasible_exponents(ss, 1.0) is not None
-        oracle = analysis.exponent_grid_search(ss, 1.0) is not None
-        table.append({"sigma_s": ss, "feasible": constructive, "oracle": oracle})
-        ok = ok and constructive == oracle
-    boundary = (not table[1]["feasible"]) and table[2]["feasible"]  # 1.60 vs 1.65
-    return {"table": table, "boundary_between_1.60_and_1.65": boundary,
-            "ok": ok and boundary}
-
-
-def _verify_lemma_a1(seed=0) -> dict:
-    worst = {}
-    for r in (0.0, 1.0, 2.0):
-        vals = []
-        for i in range(40):
-            f = analysis.decayed_random_scalar(8, 3.5, np.random.SeedSequence(
-                entropy=seed, spawn_key=(int(2 * r), i)))
-            g = analysis.decayed_random_scalar(8, 3.5, np.random.SeedSequence(
-                entropy=seed, spawn_key=(int(2 * r), i, 1)))
-            vals.append(analysis.product_inequality_ratio(f, g, r, 0.05, 0.1))
-        worst[f"r={r}"] = max(vals)
-    finite = all(math.isfinite(v) for v in worst.values())
-    f0 = analysis.decayed_random_scalar(8, 3.5, seed)
-    g0 = analysis.decayed_random_scalar(8, 3.5, seed + 1)
-    base = analysis.product_inequality_ratio(f0, g0, 1.0, 0.05, 0.1)
-    scaled = analysis.product_inequality_ratio(
-        replace(f0, coeffs=3.0 * f0.coeffs), g0, 1.0, 0.05, 0.1)
-    invariant = abs(scaled - base) <= 1e-9 * base
-    return {"max_ratio": worst, "scale_invariant": invariant,
-            "ok": finite and invariant}
-
-
-def _verify_nonlinear_estimate(seed=0) -> dict:
-    est1 = analysis.estimate_c_sigma(2.6, N=8, n_samples=60, seed=seed)
-    est2 = analysis.estimate_c_sigma(2.6, N=8, n_samples=60, seed=seed)
-    u = initial_data.random_decay(8, 2.6, 1.0, seed=seed)
-    base = analysis.nonlinear_estimate_ratio(u, 2.6, 0.05)
-    scaled = analysis.nonlinear_estimate_ratio(5.0 * u, 2.6, 0.05)
-    invariant = abs(scaled - base) <= 1e-9 * max(base, 1e-300)
-    return {"estimate_c_sigma": est1.value, "p95": est1.p95,
-            "deterministic": est1.value == est2.value,
-            "scale_invariant": invariant,
-            "ok": math.isfinite(est1.value) and est1.value == est2.value and invariant}
-
-
-def _verify_picard() -> dict:
-    N = 8
-    u0 = initial_data.random_analytic(N, radius=0.3, seed=11)
-    p = GevreyParams(1.9, 1.0, 0.2)
-    u0 = initial_data.normalize_to(u0, 1e-2, p)
-    cfg = SimConfig(noise="diffusion", nu=2.0, s=1.0, sigma=1.9,
-                    radius=RadiusSchedule.linear(0.2, 0.5), n_modes=N,
-                    dt=1e-3, horizon=0.05, seed=0)
-    prob = picard.MildProblem(u0=u0, cfg=cfg, horizon=0.05, n_nodes=33, tol=1e-12)
-    path = dynamics._zero_path(0.05, 1e-3)
-    res = picard.fixed_point_solve(prob, path)
-    again = picard.duhamel_map(res.trajectory, prob, path)
-    consistency = picard._sup_norm((a - b for a, b in zip(res.trajectory, again)), prob)
-    ok = (res.contraction_estimate < 1.0 and consistency <= 2.0 * prob.tol)
-    return {"iterations": res.iterations,
-            "contraction_estimate": res.contraction_estimate,
-            "error_bound": res.error_bound,
-            "fixed_point_consistency": consistency, "ok": ok}
-
-
-def _verify_kernel_bound() -> dict:
-    k_max = gevrey.max_abs_k(16)
-    coarse = picard.kernel_bound_probe(1.9, 1.0, 2.0, 0.5, k_max, 200, 200)
-    fine = picard.kernel_bound_probe(1.9, 1.0, 2.0, 0.5, k_max, 400, 400)
-    stable = abs(fine - coarse) <= 0.25 * coarse
-    return {"constant_coarse": coarse, "constant_fine": fine,
-            "stable_under_refinement": stable,
-            "ok": math.isfinite(fine) and stable}
-
-
-VERIFY_IMPL = {
-    "cancellation": _verify_cancellation,
-    "exponents": _verify_exponents,
-    "lemma-a1": _verify_lemma_a1,
-    "nonlinear-estimate": _verify_nonlinear_estimate,
-    "picard-consistency": _verify_picard,
-    "kernel-bound": _verify_kernel_bound,
-}
-VERIFY_SUITES = tuple(VERIFY_IMPL)
+# the registry's checks, and `paper`, which runs each of them once
+VERIFY_SUITES = {**checks.CHECKS, "paper": checks.paper}
 
 
 def cmd_verify(args) -> int:
-    suite = VERIFY_IMPL[args.suite]
+    suite = VERIFY_SUITES[args.suite]
     if args.seed is not None and "seed" not in inspect.signature(suite).parameters:
         raise ConfigError(f"--seed: the {args.suite} suite reads no seed")
     result = suite() if args.seed is None else suite(seed=args.seed)
+    result.pop("detail", None)  # a criterion's PASS text; `paper` keeps each one
     payload = {"schema": SCHEMA_VERSION, "suite": args.suite, **result}
     print(json.dumps(payload, sort_keys=True, default=float))
     return EXIT_OK if result["ok"] else 1
@@ -540,8 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="also write goodset.json here")
     p.set_defaults(func=cmd_goodset)
 
-    p = sub.add_parser("verify", help="named probe battery")
-    p.add_argument("suite", choices=VERIFY_SUITES)
+    p = sub.add_parser("verify", help="one of the paper's checks, or `paper` for all")
+    p.add_argument("suite", choices=tuple(VERIFY_SUITES))
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_verify)
 

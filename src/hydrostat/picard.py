@@ -32,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import dynamics, gevrey, spectral
+from . import dynamics, gevrey, spectral, stochastic
 from .dynamics import SimConfig
 from .gevrey import GevreyParams
 from .spectral import SpectralVelocity
@@ -178,8 +178,15 @@ def fixed_point_solve(prob: MildProblem, path: BrownianPath) -> PicardResult:
     estimate theta is below 1/2 and the error bound theta/(1 - theta)*d is
     below ``prob.tol``; raises PicardDivergenceError once d is not finite,
     or after ``max_iter`` iterations, mirroring the horizon-smallness
-    requirement of the contraction construction.
+    requirement of the contraction construction.  A path whose nu*W passes
+    the radius at a node is refused with ``dynamics.RadiusViolationError``.
     """
+    nu_w = prob.cfg.nu * np.interp(prob.times, path.times, path.values)
+    radius = np.array([prob.cfg.radius.value(float(t)) for t in prob.times])
+    if (k := stochastic.first_exit(nu_w, radius + 1e-12)) is not None:  # as recover_solution
+        raise dynamics.RadiusViolationError(
+            f"nu*W = {nu_w[k]:.6g} exceeds tracked radius {radius[k]:.6g} at "
+            f"t = {prob.times[k]:.6g}, node {k} of the mild problem's grid")
     u0p = spectral.project_constraints(prob.u0)
     current = [u0p] * prob.n_nodes  # one object: one transport per distinct W
     ball = prob.default_ball_radius()

@@ -1,21 +1,20 @@
 import os
 
-import numpy as np
 import pytest
 
-from hydrostat import analysis, dynamics, spectral
+from hydrostat import checks, dynamics, spectral
 
 
 @pytest.fixture(scope="session")
 def c_sigma_est():
     """Empirical transport-estimate constant shared across the suite."""
-    return analysis.estimate_c_sigma(2.6, N=8, n_samples=200, seed=2026)
+    return checks.c_sigma()
 
 
 @pytest.fixture(scope="session")
 def c_star_est():
     """Empirical twisted-estimate constant shared across the suite."""
-    return analysis.estimate_c_star(1.9, 1.0, N=8, n_samples=200, seed=2026)
+    return checks.c_star()
 
 
 @pytest.fixture
@@ -78,16 +77,6 @@ def projected_field():
 
 
 def check_invariants(f, rtol=1e-12):
-    """Direct checker for the four structural constraints (test oracle)."""
-    c = f.coeffs
-    N = f.N
-    scale = max(float(np.abs(c).max()), 1e-300)
-    herm = float(np.abs(c - np.conj(c[:, ::-1, ::-1, ::-1])).max())
-    parity = float(np.abs(c - c[:, :, :, ::-1]).max())
-    mean = float(np.abs(c[:, N, N, N]).max())
-    m1, m2, _ = spectral.lattice(N)
-    div = float(np.abs(m1[:, :, N] * c[0, :, :, N] + m2[:, :, N] * c[1, :, :, N]).max())
-    assert herm <= rtol * scale, f"hermitian residual {herm}"
-    assert parity <= rtol * scale, f"parity residual {parity}"
-    assert mean <= rtol * scale, f"mean residual {mean}"
-    assert div <= rtol * scale * N, f"slab divergence {div}"
+    """Asserts the four structural constraints of ``f`` to ``rtol``."""
+    for name, residual in checks.constraint_residuals(f).items():
+        assert residual <= rtol, f"{name} residual {residual}"

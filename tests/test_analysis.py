@@ -150,9 +150,10 @@ class TestEstimators:
         assert est.value == pytest.approx(5.7518363639843796e-05, rel=1e-12)
 
     def test_c_sigma_cli_estimate_value(self):
-        # the value `c_sigma = estimate` resolves to in the CLI, bitwise
+        # the value `c_sigma = estimate` resolves to in the CLI; numpy's
+        # AVX2 kernels round its last bits differently from its AVX-512 ones
         est = an.estimate_c_sigma(2.6, N=8, n_samples=64, seed=2026)
-        assert est.value == float.fromhex("0x1.f88318974e29fp-12")
+        assert est.value == pytest.approx(float.fromhex("0x1.f88318974e29fp-12"), rel=1e-12)
 
     def test_c_sigma_one_transport_per_sample(self, transport_calls):
         # Q(u, u) does not depend on the radius: one transport per sample,

@@ -1,6 +1,7 @@
 """Harness behavior: config grammar, output formats, exit codes,
 reproducibility, and the verify batteries."""
 
+import inspect
 import json
 import math
 import os
@@ -9,11 +10,12 @@ import shutil
 import subprocess
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import pytest
 
-from hydrostat import analysis, bench_cli, dynamics
+from hydrostat import analysis, bench_cli, checks, dynamics
 
 
 BASE_CONFIG = """
@@ -976,8 +978,14 @@ class TestGoodsetCommand:
         assert err.startswith("config error: goodset:") and out == ""
 
 
+# the seeded checks; every other check, and `paper`, refuses --seed
+SEEDED = ("cancellation", "lemma-a1", "nonlinear-estimate")
+
+
 class TestVerify:
-    @pytest.mark.parametrize("suite", ["exponents", "kernel-bound"])
+    # every check that is not a criterion (test_acceptance runs those)
+    @pytest.mark.parametrize("suite", ["exponents", *(
+        name for name in checks.CHECKS if name not in checks.CRITERIA)])
     def test_fast_suites_pass(self, capsys, suite):
         assert bench_cli.main(["verify", suite]) == bench_cli.EXIT_OK
         payload = json.loads(capsys.readouterr().out)
@@ -989,7 +997,8 @@ class TestVerify:
             bench_cli.main(["verify", "made-up"])
         assert exc.value.code == bench_cli.EXIT_CONFIG
 
-    @pytest.mark.parametrize("suite", ["exponents", "picard-consistency", "kernel-bound"])
+    @pytest.mark.parametrize("suite", [name for name in bench_cli.VERIFY_SUITES
+                                       if name not in SEEDED])
     def test_seed_refused_by_unseeded_suite(self, capsys, suite):
         # these suites read no seed, so a --seed would change nothing
         assert bench_cli.main(["verify", suite, "--seed", "7"]) == bench_cli.EXIT_CONFIG
@@ -997,24 +1006,36 @@ class TestVerify:
             "", f"config error: --seed: the {suite} suite reads no seed\n")
 
     def test_seed_reaches_seeded_suite(self, capsys):
+        # criterion 02's fields come from seed 7
         printed = []
-        for argv in ([], ["--seed", "0"], ["--seed", "7"]):
+        for argv in ([], ["--seed", "7"], ["--seed", "0"]):
             assert bench_cli.main(["verify", "cancellation", *argv]) == bench_cli.EXIT_OK
             printed.append(capsys.readouterr().out)
         assert printed[0] == printed[1] != printed[2]
 
-    def test_cancellation_suite_inprocess(self):
-        result = bench_cli.VERIFY_IMPL["cancellation"]()
-        assert result["ok"] and result["max_residual"] <= 1e-10
+    @pytest.mark.parametrize("failing", ["", "b"])
+    def test_paper_runs_every_check_once(self, capsys, monkeypatch, failing):
+        calls = []
+        results = {name: {"value": i, "ok": name != failing, "detail": name}
+                   for i, name in enumerate("abc")}
 
-    def test_lemma_suite_inprocess(self):
-        result = bench_cli.VERIFY_IMPL["lemma-a1"]()
-        assert result["ok"]
+        def stub(name):
+            calls.append(name)
+            return dict(results[name])
 
-    def test_nonlinear_estimate_suite_inprocess(self):
-        result = bench_cli.VERIFY_IMPL["nonlinear-estimate"]()
-        assert result["ok"]
+        monkeypatch.setattr(checks, "CHECKS", {name: partial(stub, name) for name in results})
+        assert bench_cli.main(["verify", "paper"]) == (1 if failing else bench_cli.EXIT_OK)
+        assert calls == ["a", "b", "c"]
+        assert json.loads(capsys.readouterr().out) == {
+            "schema": 1, "suite": "paper", "ok": not failing, "checks": results}
 
-    def test_picard_suite_inprocess(self):
-        result = bench_cli.VERIFY_IMPL["picard-consistency"]()
-        assert result["ok"]
+    def test_readme_verify_table_matches_registry(self):
+        readme = TestStrictInputs.README.read_text()
+        rows = re.findall(r"^\| `verify ([\w-]+)` \| (\d+|—) \| (\d+|—) \|",
+                          readme, re.MULTILINE)
+        assert [name for name, _, _ in rows] == list(bench_cli.VERIFY_SUITES)
+        assert {name: int(number) for name, number, _ in rows
+                if number != "—"} == checks.CRITERIA
+        assert {name: int(seed) for name, _, seed in rows if seed != "—"} == {
+            name: inspect.signature(bench_cli.VERIFY_SUITES[name]).parameters["seed"].default
+            for name in SEEDED}

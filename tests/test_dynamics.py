@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from hydrostat import dynamics as dy
-from hydrostat import gevrey, initial_data, spectral, stochastic
+from hydrostat import checks, gevrey, initial_data, spectral, stochastic
 from hydrostat.dynamics import RadiusSchedule, RadiusViolationError, SimConfig
 from hydrostat.gevrey import GevreyParams
 from hydrostat.spectral import SpectralVelocity
@@ -566,16 +566,11 @@ def relative_error(u, ref):
     return float(np.linalg.norm((u - ref).coeffs) / np.linalg.norm(ref.coeffs))
 
 
-def criterion_08_damping(c_sigma, n_paths=8, seed=1):
-    """The base-nu damping ensemble of acceptance criterion 08."""
-    eps, phi0 = 0.5, 0.15
-    u0 = initial_data.normalize_to(initial_data.two_mode(4), 2.0,
-                                   GevreyParams(2.6, 1.0, phi0))
-    required = (8.0 * c_sigma / phi0) * (eps ** -4 * 2.0 + 1.0)
-    cfg = SimConfig(noise="damping", nu=math.sqrt(1.3 * required), s=0.0, sigma=2.6,
-                    radius=RadiusSchedule.constant(phi0), n_modes=4, dt=1e-2,
-                    horizon=0.4, seed=seed)
-    return dy.run_global_experiment(u0, eps, cfg, n_paths, c_sigma=c_sigma)
+def criterion_08_damping(c_sigma):
+    """The base-nu damping ensemble of acceptance criterion 08, on 8 paths
+    of seed 1."""
+    u0, cfg = checks.globality_ensemble("damping", 0.5)
+    return dy.run_global_experiment(u0, 0.5, replace(cfg, seed=1), 8, c_sigma=c_sigma)
 
 
 class TestClockedDamping:
