@@ -80,9 +80,11 @@ def _seed(text: str) -> int:
 
 
 def _name(text: str) -> str:
-    """An output file prefix: not empty, and no directory part."""
-    if not text or "/" in text:
-        raise ValueError(f"must be a non-empty file name prefix without '/', got {text!r}")
+    """An output file prefix: not empty, no directory part and no NUL byte,
+    which no file name can hold."""
+    if not text or "/" in text or "\0" in text:
+        raise ValueError(f"must be a non-empty file name prefix without '/' or NUL, "
+                         f"got {text!r}")
     return text
 
 
@@ -152,9 +154,9 @@ def load_config(path) -> dict[str, _Section]:
                                        comment_prefixes=("#",))
     parser.optionxform = str  # keys are case-sensitive (N, T, ...)
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
@@ -254,7 +256,7 @@ def _ensure_outdir(path_text) -> Path:
     out = Path(path_text)
     try:
         out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise ConfigError(f"output.dir: cannot create {out}: {exc}") from exc
     return out
 

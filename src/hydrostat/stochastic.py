@@ -78,6 +78,8 @@ class GoodSetParams:
         if not all(0.0 < x < math.inf for x in (self.alpha, self.beta, self.nu)):
             raise ValueError("alpha, beta, nu must all be positive and finite, got "
                              f"{self.alpha}, {self.beta}, {self.nu}")
+        if not 0.0 < self.nu * self.nu < math.inf:  # the survival formulas divide by it
+            raise ValueError(f"nu needs a finite nu^2 > 0, got {self.nu}")
 
 
 def path_seed(seed, index: int) -> np.random.SeedSequence:
