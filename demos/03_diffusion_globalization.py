@@ -1,40 +1,28 @@
 """High-probability globality under random diffusion.
 
-Chooses the theorem-style parameters alpha = -4*ln(eps), beta = nu^2/4,
-verifies the smallness condition against the empirical twisted-estimate
-constant, and runs a path ensemble.  The completed fraction is compared
-with the 1 - eps target; exits happen exactly when the noise exponent
-crosses the moving radius.
+The diffusion half of criterion 08 (``hydrostat verify globality``):
+theorem-style parameters alpha = -4*ln(eps), beta = nu^2/4, the smallness
+condition against the empirical twisted-estimate constant, and a path
+ensemble, here the first 100 of the criterion's paths.  The completed
+fraction is compared with the 1 - eps target; exits happen exactly when
+the noise exponent crosses the moving radius.
 """
 
-import math
+from hydrostat import checks, dynamics, gevrey
 
-from hydrostat import analysis, dynamics, initial_data
-from hydrostat.dynamics import RadiusSchedule, SimConfig
-from hydrostat.gevrey import GevreyParams
-
-N = 4
 eps = 0.5
-alpha = -4.0 * math.log(eps)
-eta = alpha / 10.0
-nu = 0.1
+u0, cfg = checks.globality_ensemble("diffusion", eps)
 
-print("estimating the twisted-transport constant (sampled maximum) ...")
-c_star = analysis.estimate_c_star(1.9, 1.0, N=8, n_samples=64, seed=3)
+print("twisted-transport constant (sampled maximum) of criteria 08 and 10:")
+c_star = checks.c_star()
 print(f"  c_star = {c_star.value:.3e} (p95 {c_star.p95:.3e})")
-
-u0 = initial_data.single_mode(N, amplitude=1.0, mode=(1, 0, 1))
-u0 = initial_data.normalize_to(u0, 0.5, GevreyParams(1.9, 1.0, alpha + eta))
-cfg = SimConfig(noise="diffusion", nu=nu, s=1.0, sigma=1.9,
-                radius=RadiusSchedule.linear(alpha, nu ** 2 / 4.0, eta=eta),
-                n_modes=N, dt=1e-2, horizon=0.4, seed=1)
-
-print(f"alpha = {alpha:.4f}, beta = nu^2/4 = {nu ** 2 / 4:.4g}, "
-      f"smallness margin nu^2 - 4*c*|V0| = "
-      f"{nu ** 2 - 4 * c_star.value * 0.5:.4g}")
 
 res = dynamics.run_global_experiment(u0, eps, cfg, n_paths=100,
                                      c_star=c_star.value)
+v0n = gevrey.norm(u0, "Gevrey", cfg.norm_params(0.0))
+print(f"alpha = {res.alpha:.4f}, beta = nu^2/4 = {res.beta:.4g}, "
+      f"smallness margin nu^2 - 4*c*|V0| = "
+      f"{cfg.nu ** 2 - 4 * c_star.value * v0n:.4g}")
 print(f"completed fraction: {res.completed_fraction:.3f} "
       f"(target 1 - eps = {res.target:.2f}, se = {res.std_error:.3f})")
 
@@ -48,7 +36,7 @@ print("\nfirst run, sampled radius vs noise exponent:")
 print(f"{'t':>6} {'phi(t)':>8} {'nu*W':>8} {'|U|_G':>10}")
 for k in range(0, len(rec.times), max(1, len(rec.times) // 8)):
     print(f"{rec.times[k]:6.2f} {rec.phi[k]:8.4f} "
-          f"{nu * rec.w_values[k]:8.4f} {rec.gevrey_norm_u[k]:10.4e}")
+          f"{cfg.nu * rec.w_values[k]:8.4f} {rec.gevrey_norm_u[k]:10.4e}")
 print("(at theorem-scale radii the tracked norm is dominated by the "
       "exponential weight on the highest harmonics the transport term "
       "generates; statuses and the L2 series are the meaningful outputs)")

@@ -1,5 +1,6 @@
 """Regularization contrast: deterministic norm growth vs random damping.
 
+Criterion 09's experiment (``hydrostat verify regularization-contrast``).
 The same analytic two-mode datum is run twice.  Without noise the tracked
 analytic-class norm cascades and crosses the blowup threshold before the
 horizon; with damping at the theorem scale the compensated norm decays and
@@ -7,48 +8,20 @@ good-set paths complete.  Writes a PNG comparing the two norm histories
 when matplotlib is importable.
 """
 
-import math
-
 import numpy as np
 
-from hydrostat import analysis, dynamics, gevrey, initial_data, stochastic
-from hydrostat.dynamics import RadiusSchedule, SimConfig
-from hydrostat.gevrey import GevreyParams
-from hydrostat.stochastic import GoodSetParams
+from hydrostat import checks, dynamics
 
-N = 6
-T = 1.0
-sigma = 2.6
-v0 = initial_data.two_mode(N, amplitude=3.0, mode_a=(0, 0, 1), component_a=0,
-                           ratio=0.5, mode_b=(1, 0, 1), component_b=0)
-
-cfg0 = SimConfig(noise="none", nu=0.0, s=0.0, sigma=sigma,
-                 radius=RadiusSchedule.constant(0.5), n_modes=N,
-                 dt=1e-3, horizon=T, blowup_factor=1e3)
-det = dynamics.run(v0, cfg0)
+v0, det_cfg, cfg, goodset = checks.contrast_setup()
+det = dynamics.run(v0, det_cfg)
 print(f"deterministic run: {det.status} at t = {det.t_final:.3f}, "
       f"norm growth {det.max_gevrey_norm / det.gevrey_norm_u[0]:.3g}x")
 
-eps = 0.5
-alpha = -4.0 * math.log(eps)
-phi0 = 0.25
-c_sigma = analysis.estimate_c_sigma(sigma, N=8, n_samples=64, seed=3).value
-v0n = gevrey.norm(v0, "Gevrey", GevreyParams(sigma, 1.0, phi0))
-nu = math.sqrt(1.1 * (8.0 * c_sigma / phi0) * (eps ** -4 * v0n + 1.0))
-beta = nu ** 2 / 4.0
-sched = RadiusSchedule.damping(phi0, alpha, beta, nu, c_sigma, v0n)
-cfg1 = SimConfig(noise="damping", nu=nu, s=0.0, sigma=sigma, radius=sched,
-                 n_modes=N, dt=2.5e-3, horizon=T, blowup_factor=1e6)
-goodset = GoodSetParams(alpha, beta, nu)
+nu = cfg.nu
 print(f"damping intensity nu = {nu:.1f} (threshold scale), "
-      f"radius floor {sched.limit():.4f}")
+      f"radius floor {cfg.radius.limit():.4f}")
 
-damped = None
-for i in range(50):
-    path = stochastic.sample_path(T, cfg1.dt, stochastic.path_seed(5, i))
-    if stochastic.good_set_indicator(path, goodset)[0]:
-        damped = dynamics.run(v0, cfg1, path)
-        break
+damped = checks._good_set_runs(v0, cfg, goodset, n_good=1)[0]
 print(f"damped run (first good-set path): {damped.status}, "
       f"|U(T)|_G = {damped.gevrey_norm_u[-1]:.3e}")
 print(f"back-transformed |V| stays finite: max |V|_G = "
@@ -66,7 +39,7 @@ else:
                 label="deterministic (nu = 0)")
     ax.semilogy(damped.times, damped.gevrey_norm_u / damped.gevrey_norm_u[0],
                 label=f"random damping (nu = {nu:.0f})")
-    ax.axhline(1e3, color="gray", ls=":", label="blowup threshold")
+    ax.axhline(det_cfg.blowup_factor, color="gray", ls=":", label="blowup threshold")
     ax.set_xlabel("t")
     ax.set_ylabel("tracked norm / initial")
     ax.legend()

@@ -82,11 +82,13 @@ def feasible_exponents(sigma: float, s: float) -> ExponentPair | None:
     return pair
 
 
-def exponent_grid_search(sigma: float, s: float, resolution: float = 1e-4) -> ExponentPair | None:
-    """Brute-force scan over p in (1, 2); the independent feasibility oracle."""
+def exponent_grid_search(sigma: float, s: float) -> ExponentPair | None:
+    """Brute-force scan over p in (1, 2) in steps of 1e-4; the independent
+    feasibility oracle."""
     if sigma >= 2.0:
         raise ValueError(f"sigma must be below 2, got {sigma}")
     sigma_s = sigma * s
+    resolution = 1e-4
     p = 1.0 + resolution
     while p < 2.0:
         denom = 1.5 - 1.0 / p

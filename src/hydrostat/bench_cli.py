@@ -219,12 +219,14 @@ def _build_initial_data(section: _Section, N: int):
 
 def build_sim(config: dict[str, _Section], seed_override=None):
     """SimConfig, initial data and the resolved ``sim.c_sigma`` (None when
-    unset) from a loaded config.  ``c_sigma = estimate`` runs the estimator
-    here, once."""
+    unset or unread) from a loaded config.  ``c_sigma = estimate`` runs the
+    estimator here, once."""
     sim = config["sim"]
     noise, nu, sigma, N = sim["noise"], sim["nu"], sim["sigma"], sim["N"]
     u0 = _build_initial_data(config["initial_data"], N)
-    c_sigma = _resolve(sim, "c_sigma", analysis.estimate_c_sigma, sigma)
+    # only a damping noise or a damping radius reads c_sigma
+    c_sigma = _resolve(sim, "c_sigma", analysis.estimate_c_sigma, sigma) \
+        if "damping" in (noise, sim.get("radius_kind")) else None
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # a damping radius refuses it
             v0_norm = gevrey.norm(u0, "Gevrey", GevreyParams(sigma, 1.0, sim.get("phi0", 0.0)))
@@ -252,12 +254,15 @@ def build_sim(config: dict[str, _Section], seed_override=None):
 
 # --------------------------------------------------------------- writers ---
 
-def _ensure_outdir(path_text) -> Path:
-    out = Path(path_text)
+def _ensure_outdir(args, config) -> Path:
+    """The directory ``--out`` names, else the config's ``output.dir``
+    (default ``out``), created; its config error names the one it came from."""
+    key, out = ("--out", Path(args.out)) if args.out else \
+        ("output.dir", Path(config["output"].get("dir", "out")))
     try:
         out.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
-        raise ConfigError(f"output.dir: cannot create {out}: {exc}") from exc
+        raise ConfigError(f"{key}: cannot create {out}: {exc}") from exc
     return out
 
 
@@ -325,7 +330,7 @@ def cmd_simulate(args) -> int:
         raise ConfigError("sim: diffusion requires beta < nu^2/2")
     _check_initial_norm(config, base_cfg, u0)
     # created only once the config is known to be valid
-    out = _ensure_outdir(args.out or config["output"].get("dir", "out"))
+    out = _ensure_outdir(args, config)
 
     worst = EXIT_OK
     summaries = []
@@ -353,7 +358,9 @@ def cmd_ensemble(args) -> int:
                           "must be at least 1")
 
     cfg, u0, c_sigma = build_sim(config, seed_override=args.seed)
-    c_star = _resolve(ens, "c_star", analysis.estimate_c_star, cfg.sigma, cfg.s)
+    # only a diffusion experiment reads c_star
+    c_star = _resolve(ens, "c_star", analysis.estimate_c_star, cfg.sigma, cfg.s) \
+        if cfg.noise == "diffusion" else None
     try:
         result = dynamics.run_global_experiment(
             u0, epsilon, cfg, n_paths, c_star=c_star, c_sigma=c_sigma)
@@ -364,7 +371,7 @@ def cmd_ensemble(args) -> int:
                           f"N = {cfg.n_modes}: {exc}") from exc
 
     # created only after the experiment has derived and checked its radius
-    out = _ensure_outdir(args.out or config["output"].get("dir", "out"))
+    out = _ensure_outdir(args, config)
     (out / f"{name}_runs.jsonl").write_text(
         "\n".join(summary_line(r) for r in result.records) + "\n")
     _, half = stochastic.binomial_ci(result.n_completed, n_paths)
@@ -394,10 +401,11 @@ def cmd_goodset(args) -> int:
                                               args.paths, seed=args.seed)
     except ValueError as exc:
         raise ConfigError(f"goodset: {exc}") from exc
+    # created before anything is printed, so that its error is the only output
+    out = _ensure_outdir(args, None) if args.out else None
     record = {"schema": SCHEMA_VERSION, **est.as_dict()}
     print(json.dumps(record, sort_keys=True))
-    if args.out:
-        out = _ensure_outdir(args.out)
+    if out is not None:
         (out / "goodset.json").write_text(json.dumps(record, sort_keys=True) + "\n")
     return EXIT_OK
 

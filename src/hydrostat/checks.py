@@ -8,6 +8,10 @@ criterion's PASS line.  ``hydrostat verify NAME`` prints one check,
 ``hydrostat verify paper`` runs them all (``paper``), and
 ``tests/test_acceptance.py`` prints the PASS lines.  Criterion 05 needs
 pytest's monkeypatch and is a test only.
+
+The demos run these checks and their setups (``cancellation_fields``,
+``mild_problems``, ``globality_ensemble``, ``contrast_setup``), so that
+each prints the numbers of the check it narrates.
 """
 
 from __future__ import annotations
@@ -69,14 +73,36 @@ def constraint_residuals(f: spectral.SpectralVelocity) -> dict:
             "divergence": float(np.abs(div).max()) / (scale * N)}
 
 
-def _good_set_runs(u0, cfg: SimConfig, goodset: GoodSetParams, seed: int,
-                   n_good: int, max_draws: int) -> list:
-    """Runs on the first ``n_good`` paths ``path_seed(seed, i)``, i <
-    ``max_draws``, that stay in the good set."""
-    paths = (stochastic.sample_path(cfg.horizon, cfg.dt, stochastic.path_seed(seed, i))
-             for i in range(max_draws))
-    good = (path for path in paths if stochastic.good_set_indicator(path, goodset)[0])
-    return [dynamics.run(u0, cfg, path) for path in itertools.islice(good, n_good)]
+def _good_set_runs(u0, cfg: SimConfig, goodset: GoodSetParams, n_good: int) -> list:
+    """Damping runs on the first ``n_good`` paths ``path_seed(cfg.seed, i)``,
+    i < 8 * n_good, that stay in the good set, all read off one clocked
+    nu = 0 solve; each equals ``dynamics.run`` on its path alone."""
+    paths = (stochastic.sample_path(cfg.horizon, cfg.dt, stochastic.path_seed(cfg.seed, i))
+             for i in range(8 * n_good))
+    good = list(itertools.islice(
+        (path for path in paths if stochastic.good_set_indicator(path, goodset)[0]), n_good))
+    return dynamics._run_clocked(u0, cfg, good, [""] * len(good))
+
+
+def cancellation_fields(seed: int = 7):
+    """Criterion 02's 100 random fields at N = 8, before projection."""
+    for i in range(100):
+        yield spectral.random_coefficients(
+            8, np.random.SeedSequence(entropy=seed, spawn_key=(i,)), decay=3.5)
+
+
+def mild_problems() -> tuple:
+    """Criterion 06's mild problem on 33 and on 65 time nodes, and the zero
+    path both are solved on."""
+    T = 0.05
+    u0 = initial_data.normalize_to(initial_data.random_analytic(8, radius=0.3, seed=11),
+                                   1e-2, GevreyParams(1.9, 1.0, 0.2))
+    problems = [picard.MildProblem(
+        u0=u0, cfg=SimConfig(noise="diffusion", nu=2.0, s=1.0, sigma=1.9,
+                             radius=RadiusSchedule.linear(0.2, 0.5), n_modes=8,
+                             dt=T / (n_nodes - 1), horizon=T),
+        horizon=T, n_nodes=n_nodes, tol=1e-13) for n_nodes in (33, 65)]
+    return problems, dynamics._zero_path(T, 1e-4)
 
 
 def globality_ensemble(kind: str, eps: float) -> tuple:
@@ -96,6 +122,26 @@ def globality_ensemble(kind: str, eps: float) -> tuple:
         radius = RadiusSchedule.constant(phi0)
     return u0, SimConfig(noise=kind, nu=nu, s=s, sigma=sigma, radius=radius,
                          n_modes=4, dt=1e-2, horizon=0.4, seed=99)
+
+
+def contrast_setup() -> tuple:
+    """Criterion 09's datum, its deterministic (nu = 0) config, its damping
+    config at the theorem-scale nu, and the good set of the damping paths."""
+    T, sigma = 1.0, 2.6
+    v0 = initial_data.two_mode(6, amplitude=3.0, mode_a=(0, 0, 1), ratio=0.5,
+                               mode_b=(1, 0, 1), component_b=0)
+    det = SimConfig(noise="none", nu=0.0, s=0.0, sigma=sigma,
+                    radius=RadiusSchedule.constant(0.5), n_modes=6,
+                    dt=1e-3, horizon=T, blowup_factor=1e3)
+    eps, phi0 = 0.5, 0.25
+    alpha = -4.0 * math.log(eps)
+    v0n = gevrey.norm(v0, "Gevrey", GevreyParams(sigma, 1.0, phi0))
+    nu = math.sqrt(1.1 * (8.0 * c_sigma().value / phi0) * (eps ** -4 * v0n + 1.0))
+    beta = nu ** 2 / 4.0
+    sched = RadiusSchedule.damping(phi0, alpha, beta, nu, c_sigma().value, v0n)
+    damped = SimConfig(noise="damping", nu=nu, s=0.0, sigma=sigma, radius=sched,
+                       n_modes=6, dt=2.5e-3, horizon=T, blowup_factor=1e6, seed=1618)
+    return v0, det, damped, GoodSetParams(alpha, beta, nu)
 
 
 # ------------------------------------------------------------- criteria ---
@@ -121,9 +167,8 @@ def cancellation(seed=7) -> dict:
     N = 8
     m1, m2, m3 = spectral.lattice(N)
     cancel = idem = parity = div = constraints = 0.0
-    for i in range(100):
-        u = spectral.project_constraints(spectral.random_coefficients(
-            N, np.random.SeedSequence(entropy=seed, spawn_key=(i,)), decay=3.5))
+    for f in cancellation_fields(seed):
+        u = spectral.project_constraints(f)
         constraints = max(constraints, *constraint_residuals(u).values())
         scale = np.abs(u.coeffs).max()
         again = spectral.project_constraints(u)
@@ -177,27 +222,20 @@ def exponents() -> dict:
 @_check("picard-consistency", criterion=6)
 def picard_consistency() -> dict:
     """Picard fixed point on the zero path, and the stepper converging to it."""
-    T = 0.05
-    u0 = initial_data.normalize_to(initial_data.random_analytic(8, radius=0.3, seed=11),
-                                   1e-2, GevreyParams(1.9, 1.0, 0.2))
-    path = dynamics._zero_path(T, 1e-4)
+    problems, path = mild_problems()
     sup_diff = []
-    for n_nodes in (33, 65):
-        cfg = SimConfig(noise="diffusion", nu=2.0, s=1.0, sigma=1.9,
-                        radius=RadiusSchedule.linear(0.2, 0.5), n_modes=8,
-                        dt=T / (n_nodes - 1), horizon=T)
-        prob = picard.MildProblem(u0=u0, cfg=cfg, horizon=T, n_nodes=n_nodes, tol=1e-13)
+    for prob in problems:
         res = picard.fixed_point_solve(prob, path)
-        if n_nodes == 33:
+        if prob is problems[0]:
             coarse, again = res, picard.duhamel_map(res.trajectory, prob, path)
             consistency = picard._sup_norm(
                 (a - b for a, b in zip(res.trajectory, again)), prob)
-        u, t, worst = u0, 0.0, 0.0
-        for k in range(n_nodes - 1):
+        u, t, worst, cfg = prob.u0, 0.0, 0.0, prob.cfg
+        for k in range(prob.n_nodes - 1):
             u = dynamics.step_diffusion(u, t, cfg.dt, path, cfg)
             t += cfg.dt
-            p = GevreyParams(1.9, 1.0, cfg.radius.value(t))
-            worst = max(worst, gevrey.norm(u - res.trajectory[k + 1], "Gevrey", p))
+            worst = max(worst, gevrey.norm(u - res.trajectory[k + 1], "Gevrey",
+                                           cfg.norm_params(t)))
         sup_diff.append(worst)
     d_coarse, d_fine = sup_diff
     ratio = d_coarse / d_fine
@@ -221,9 +259,8 @@ def damping_gronwall() -> dict:
                                    GevreyParams(sigma, 1.0, phi0))
     sched = RadiusSchedule.damping(phi0, alpha, beta, nu, c_sigma().value, 0.05)
     cfg = SimConfig(noise="damping", nu=nu, s=0.0, sigma=sigma, radius=sched,
-                    n_modes=5, dt=2.5e-3, horizon=0.5)
-    records = _good_set_runs(u0, cfg, GoodSetParams(alpha, beta, nu), seed=314,
-                             n_good=50, max_draws=400)
+                    n_modes=5, dt=2.5e-3, horizon=0.5, seed=314)
+    records = _good_set_runs(u0, cfg, GoodSetParams(alpha, beta, nu), n_good=50)
     excess = max((float((np.exp(alpha + 0.5 * nu2 * rec.times) * rec.gevrey_norm_u).max())
                   / (math.exp(alpha) * rec.gevrey_norm_u[0]) - 1.0 for rec in records),
                  default=-math.inf)
@@ -267,33 +304,19 @@ def globality() -> dict:
 @_check("regularization-contrast", criterion=9)
 def regularization_contrast() -> dict:
     """A deterministic blowup that good-set damping paths complete."""
-    T, sigma = 1.0, 2.6
-    v0 = initial_data.two_mode(6, amplitude=3.0, mode_a=(0, 0, 1), ratio=0.5,
-                               mode_b=(1, 0, 1), component_b=0)
-    det = dynamics.run(v0, SimConfig(noise="none", nu=0.0, s=0.0, sigma=sigma,
-                                     radius=RadiusSchedule.constant(0.5), n_modes=6,
-                                     dt=1e-3, horizon=T, blowup_factor=1e3))
+    v0, det_cfg, cfg, goodset = contrast_setup()
+    det = dynamics.run(v0, det_cfg)
     growth = float(det.max_gevrey_norm / det.gevrey_norm_u[0])
-
-    eps, phi0 = 0.5, 0.25
-    alpha = -4.0 * math.log(eps)
-    v0n = gevrey.norm(v0, "Gevrey", GevreyParams(sigma, 1.0, phi0))
-    nu = math.sqrt(1.1 * (8.0 * c_sigma().value / phi0) * (eps ** -4 * v0n + 1.0))
-    beta = nu ** 2 / 4.0
-    sched = RadiusSchedule.damping(phi0, alpha, beta, nu, c_sigma().value, v0n)
-    cfg = SimConfig(noise="damping", nu=nu, s=0.0, sigma=sigma, radius=sched,
-                    n_modes=6, dt=2.5e-3, horizon=T, blowup_factor=1e6)
-    records = _good_set_runs(v0, cfg, GoodSetParams(alpha, beta, nu), seed=1618,
-                             n_good=25, max_draws=200)
+    records = _good_set_runs(v0, cfg, goodset, n_good=25)
     n_good, completed = len(records), sum(rec.status == "completed" for rec in records)
     frac = completed / n_good if n_good else 0.0
-    ok = (det.status == "blowup" and growth >= 1e3 and det.t_final < T
+    ok = (det.status == "blowup" and growth >= 1e3 and det.t_final < det_cfg.horizon
           and n_good == 25 and frac >= 0.8)
     return {"deterministic_status": det.status, "deterministic_t_final": det.t_final,
-            "deterministic_growth": growth, "nu": nu, "n_good": n_good,
+            "deterministic_growth": growth, "nu": cfg.nu, "n_good": n_good,
             "completed": completed, "ok": bool(ok),
             "detail": f"deterministic: {det.status} at t={det.t_final:.2f} with growth "
-                      f"{growth:.3g}x; damping (nu={nu:.1f}): {completed}/{n_good} "
+                      f"{growth:.3g}x; damping (nu={cfg.nu:.1f}): {completed}/{n_good} "
                       f"good-set paths completed ({frac:.0%} >= 80%)"}
 
 

@@ -201,10 +201,11 @@ def binomial_se(p_hat: float, n: int) -> float:
     return math.sqrt(max(p_hat * (1.0 - p_hat), 1.0 / n) / n)
 
 
-def binomial_ci(successes: int, n: int, z: float = 1.96):
-    """Normal-approximation binomial confidence interval (p_hat, half-width)."""
+def binomial_ci(successes: int, n: int):
+    """Normal-approximation 95 % binomial confidence interval (p_hat,
+    half-width)."""
     p_hat = successes / n
-    return p_hat, z * binomial_se(p_hat, n)
+    return p_hat, 1.96 * binomial_se(p_hat, n)
 
 
 # Increments a good-set path draws and tests at a time.  Of 2048, 8192 and

@@ -161,7 +161,14 @@ CONFIG_ERRORS = {
         ("below-file", (SIM,), config("none", {"output.dir": "cfg.ini/out"}),
          "output.dir: cannot create cfg.ini/out: [Errno 20] Not a directory: 'cfg.ini/out'"),
         ("nul", (SIM,), config("none", {"output.dir": "a\0b"}),
-         "output.dir: cannot create a\0b: embedded null byte")],
+         "output.dir: cannot create a\0b: embedded null byte"),
+        # these named output.dir, which the config does not set; goodset
+        # reads no config, and cfg.ini is there as a file to create x below
+        *((f"--out-{argv.split()[0]}", (f"{argv} --out cfg.ini/x",), config(kind),
+           "--out: cannot create cfg.ini/x: [Errno 20] Not a directory: 'cfg.ini/x'")
+          for argv, kind in [(SIM, "none"), (ENS, "damping"),
+                             ("goodset --alpha 2 --beta 0.5 --nu 1 --T 1 --dt 0.01 "
+                              "--paths 100", "none")])],
     "non_positive_paths": [
         row for paths in ("0", "-3") for row in (
             (f"{paths}-goodset",
@@ -661,6 +668,21 @@ class TestEnsemble:
             "output.dir": tmp_path}))
         assert bench_cli.main(["ensemble", "--config", cfg, "--quiet"]) == 0
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("command", ["simulate", "ensemble"])
+    def test_diffusion_reads_no_c_sigma(self, cli, monkeypatch, command):
+        # no diffusion run reads c_sigma, so its estimate is not run: at
+        # sigma = 1.9 it refused the config with "requires sigma > 2"
+        monkeypatch.setattr(analysis, "estimate_c_sigma", None)
+        code, _, err, _ = cli(f"{command} --config cfg.ini --quiet",
+                              config("diffusion", {"sim.c_sigma": "estimate"}))
+        assert (code, err) == (bench_cli.EXIT_OK, "")
+
+    def test_damping_reads_no_c_star(self, cli, monkeypatch):
+        # a damping experiment reads c_sigma, so c_star's estimate is not run
+        monkeypatch.setattr(analysis, "estimate_c_star", None)
+        code, _, err, _ = cli(ENS, config("damping", {"ensemble.c_star": "estimate"}))
+        assert (code, err) == (bench_cli.EXIT_OK, "")
 
     def test_goodset_fraction_matches_stochastic_module(self, tmp_path):
         # ignoring the PDE outcome, the per-run goodset flags reproduce the

@@ -636,6 +636,32 @@ class TestClockedDamping:
                 np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
             assert {**a.summary(), "name": ""} == {**b.summary(), "name": ""}
 
+    def test_good_set_runs_share_one_solve(self, monkeypatch):
+        # the good-set runs of criteria 07 and 09 read all their paths off
+        # one clocked solve: 16 steps here for the six paths, where a solve
+        # per path took 91; each record is still run() on its path alone
+        cfg = replace(self.cfg(seed=3), horizon=0.1)
+        u0 = nonlinear_two_mode(self.N)
+        goodset = GoodSetParams(alpha=0.5, beta=0.25 * self.NU ** 2, nu=self.NU)
+        real, calls = dy.step_damping, []
+
+        def counted(u, dt):
+            calls.append(dt)
+            return real(u, dt)
+
+        monkeypatch.setattr(dy, "step_damping", counted)
+        records = checks._good_set_runs(u0, cfg, goodset, n_good=6)
+        monkeypatch.undo()
+        assert len(records) == 6 and len(calls) <= 20
+        paths = (stochastic.sample_path(cfg.horizon, cfg.dt, stochastic.path_seed(3, i))
+                 for i in range(48))
+        good = [p for p in paths if stochastic.good_set_indicator(p, goodset)[0]][:6]
+        for rec, path in zip(records, good):
+            alone = dy.run(u0, cfg, path)
+            for field in RECORD_FIELDS:
+                np.testing.assert_array_equal(getattr(rec, field), getattr(alone, field))
+            assert rec.summary() == alone.summary()
+
     def test_nonfinite_node_reads_blowup(self, monkeypatch):
         # steps turn non-finite from the 8th call on, a trial at 2*dt: it is
         # retried shorter, and a trial no longer than dt ends the sweep; each
